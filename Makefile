@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet smoke mutation-smoke debug-smoke crash-smoke load-smoke bench
+.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke bench
 
 check: fmt vet build test tsanvet
 
@@ -58,6 +58,26 @@ mutation-smoke:
 	grep -q '"ancestor":' /tmp/needle-mutation-corpus.json
 	grep -q 'verify: races=' /tmp/mutation-smoke.log
 	! grep -q 'verify FAILED' /tmp/mutation-smoke.log
+
+# record-dir-smoke streams a mutation hunt's fresh trials into a record
+# directory. Only failing trials keep their files, so the directory must be
+# non-empty yet hold fewer files than trials; every kept file must pass
+# demoinspect, and every streamed-recording path racehunt prints must exist.
+record-dir-smoke:
+	rm -rf /tmp/record-dir-smoke
+	$(GO) build -o /tmp/racehunt ./cmd/racehunt
+	$(GO) build -o /tmp/demoinspect ./cmd/demoinspect
+	/tmp/racehunt -program needle -strategies rnd -trials 200 -workers 2 \
+		-seed 5 -mutate -record-dir /tmp/record-dir-smoke > /tmp/record-dir-smoke.log
+	cat /tmp/record-dir-smoke.log
+	n=$$(ls /tmp/record-dir-smoke | wc -l); echo "$$n of 200 trials kept a recording"; \
+		test $$n -gt 0 && test $$n -lt 200
+	for f in /tmp/record-dir-smoke/*; do \
+		/tmp/demoinspect $$f | grep -q 'validation:  ok' || { echo "invalid recording: $$f"; exit 1; }; \
+	done
+	grep -q 'streamed recording: ' /tmp/record-dir-smoke.log
+	grep 'streamed recording: ' /tmp/record-dir-smoke.log | awk '{print $$3}' | \
+		while read -r p; do test -f "$$p" || { echo "reported recording missing: $$p"; exit 1; }; done
 
 # debug-smoke drives a scripted tsandebug session over the checked-in
 # minimized ms-queue demo: run-to-tick, reverse-continue to the raced

@@ -75,7 +75,7 @@ func run(args []string, out, errOut io.Writer) int {
 	fmt.Fprintf(out, "seeds:       %#x %#x\n", d.Seed1, d.Seed2)
 	fmt.Fprintf(out, "final tick:  %d\n", d.FinalTick)
 	if d.Truncated {
-		fmt.Fprintln(out, "truncated:   yes (recovered prefix of a crashed recording)")
+		fmt.Fprintln(out, "truncated:   yes (a prefix of the run: replay stops at the final tick)")
 	}
 	fmt.Fprintf(out, "output hash: %#x\n", d.OutputHash)
 	fmt.Fprintf(out, "total size:  %d bytes\n", d.Size())

@@ -26,6 +26,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -51,9 +53,10 @@ type Report struct {
 	// Demo is the recording (nil unless Options.Record).
 	Demo *demo.Demo
 	// DemoPath is the streamed recording's file path (set only with
-	// Options.RecordPath). The file is complete once Run returns; if the
-	// process dies mid-run instead, demo.Recover reconstructs its longest
-	// valid prefix.
+	// Options.RecordPath, and empty once Options.RecordDiscardPassing has
+	// deleted a passing run's file). A kept file is complete and sealed
+	// once Run returns; if the process dies mid-run instead, demo.Recover
+	// reconstructs its longest valid prefix.
 	DemoPath string
 	// Leaked counts threads still live when main returned.
 	Leaked int
@@ -127,14 +130,15 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	handlers map[int32]signalHandler
-	sigTID   TID // thread that receives external signals
+	sigTID   TID               // thread that receives external signals
+	unc      uncontrolledState // an int32 beside sigTID keeps Runtime in its 768 B size class
 	output   []byte
-	nextSync uint64 // mutex/cond id allocator
-	appErr   error  // first application panic
+	held     map[TID]*Thread // threads that ended with uncommitted output
+	nextSync uint64          // mutex/cond id allocator
+	appErr   error           // first application panic
 	arena    arenaState
 	locks    []*Mutex // every instrumented mutex, for held-lock dumps
 
-	unc      uncontrolledState
 	uthreads map[TID]*Thread
 
 	wg       sync.WaitGroup
@@ -341,6 +345,7 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	rt.wg.Wait()
 	close(rt.stopWdog)
 	rt.world.Shutdown()
+	rt.flushHeldOutput()
 
 	rep := &Report{
 		Races:   rt.det.Reports(),
@@ -363,18 +368,7 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	rt.mu.Unlock()
 	if rt.rec != nil {
 		if rt.rec.Streaming() {
-			rep.DemoPath = rt.rec.StreamPath()
-			if cerr := rt.rec.Close(rt.sch.TickCount()); cerr != nil {
-				if err == nil {
-					err = fmt.Errorf("core: closing demo stream: %w", cerr)
-				}
-			} else if d, rerr := demo.ReadFile(rep.DemoPath); rerr != nil {
-				if err == nil {
-					err = fmt.Errorf("core: reading back streamed demo: %w", rerr)
-				}
-			} else {
-				rep.Demo = d
-			}
+			err = rt.finishStream(rep, err)
 		} else {
 			rep.Demo = rt.rec.Finish(rt.sch.TickCount())
 		}
@@ -407,6 +401,38 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 		rt.dbg.finish(rt, rep)
 	}
 	return rep, err
+}
+
+// finishStream closes the streamed recording and reads it back into
+// rep.Demo, returning err, or the stream's first error if err is nil. The
+// file is sealed and kept at rep.DemoPath unless RecordDiscardPassing
+// applies: a streaming run records and never replays, so err and the
+// races already decide Report.Failed, and a passing run's file is closed
+// unsynced, read back and deleted.
+func (rt *Runtime) finishStream(rep *Report, err error) error {
+	path := rt.rec.StreamPath()
+	discard := rt.opts.RecordDiscardPassing && err == nil && len(rep.Races) == 0
+	closeStream := rt.rec.Close
+	if discard {
+		closeStream = rt.rec.CloseUnsynced
+	}
+	var serr error
+	if cerr := closeStream(rt.sch.TickCount()); cerr != nil {
+		serr = fmt.Errorf("core: closing demo stream: %w", cerr)
+	} else if d, rerr := demo.ReadFile(path); rerr != nil {
+		serr = fmt.Errorf("core: reading back streamed demo: %w", rerr)
+	} else {
+		rep.Demo = d
+	}
+	// A stream error fails the run, so its file is kept; DemoPath names
+	// the file whenever one remains.
+	if !discard || serr != nil || os.Remove(path) != nil {
+		rep.DemoPath = path
+	}
+	if err == nil {
+		err = serr
+	}
+	return err
 }
 
 // forensicsTail is how many trailing trace events a desync report carries.
@@ -464,6 +490,18 @@ func (rt *Runtime) finishObs(rep *Report, start time.Time) {
 // panics, and deregistering the thread on normal completion.
 func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 	normal := false
+	defer func() {
+		// Aborted at a Wait or panicked: output printed since the last
+		// critical section was never committed. Run flushes it.
+		if t.out != nil && t.out.Len() > 0 {
+			rt.mu.Lock()
+			if rt.held == nil {
+				rt.held = make(map[TID]*Thread)
+			}
+			rt.held[t.id] = t
+			rt.mu.Unlock()
+		}
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			if ab, ok := r.(sched.Abort); ok {
@@ -540,6 +578,29 @@ func (rt *Runtime) nextSyncID() uint64 {
 	defer rt.mu.Unlock()
 	rt.nextSync++
 	return rt.nextSync
+}
+
+// flushHeldOutput commits the output of threads that ended without
+// another critical section, in thread-id order, once every thread has
+// exited. A replay stopped at the end of a truncated demo drops it
+// instead: the recording that demo was cut from latched its output hash
+// at that tick, before any of this output was committed.
+func (rt *Runtime) flushHeldOutput() {
+	rt.mu.Lock()
+	held := rt.held
+	rt.held = nil
+	rt.mu.Unlock()
+	if len(held) == 0 || errors.Is(rt.sch.Err(), sched.ErrReplayEnd) {
+		return
+	}
+	tids := make([]TID, 0, len(held))
+	for tid := range held {
+		tids = append(tids, tid)
+	}
+	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	for _, tid := range tids {
+		held[tid].commitOutput()
+	}
 }
 
 // emit collects observable output and folds it into the record/replay

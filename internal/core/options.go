@@ -32,8 +32,15 @@ type Options struct {
 	// accumulating it in memory for one final write. The recording of a run
 	// that crashes or is killed survives as a replayable prefix, recovered
 	// with demo.Recover. The finished demo is read back into Report.Demo;
-	// Report.DemoPath carries the path.
+	// a kept file is sealed (fsynced) and Report.DemoPath carries its path.
 	RecordPath string
+	// RecordDiscardPassing (requires RecordPath) keeps only the streamed
+	// recordings of failing runs (Report.Failed). A passing run's file is
+	// closed without the fsync, read back into Report.Demo and deleted, and
+	// Report.DemoPath stays empty: sealing a file about to be deleted buys
+	// nothing. Crash safety is unchanged — the file is created in New and
+	// flushed on the RecordFlushInterval while the run executes.
+	RecordDiscardPassing bool
 	// RecordFlushInterval is the streaming writer's background flush period
 	// (0 = 25ms default). Only meaningful with RecordPath; tests shrink it
 	// to make crash windows tight.
@@ -108,8 +115,9 @@ type Options struct {
 	// baseline. Incompatible with Record/Replay.
 	Uncontrolled bool
 	// SpawnDelay models pthread_create cost: the parent busy-waits this
-	// long after launching a child, giving the child the head start a
-	// pthread would have over later siblings. Go launches goroutines
+	// long after launching a child (under the queue strategy, after the
+	// child starts running), giving the child the head start a pthread
+	// would have over later siblings. Go launches goroutines
 	// last-in-first-out, the opposite arrival order, so without this the
 	// queue strategy and the uncontrolled baseline explore schedules the
 	// paper's substrate never would. 0 = 100µs default; negative disables.
@@ -220,6 +228,9 @@ func (o Options) Validate() error {
 	}
 	if o.RecordPath != "" && !o.Record {
 		return errors.New("core: RecordPath requires Record")
+	}
+	if o.RecordDiscardPassing && o.RecordPath == "" {
+		return errors.New("core: RecordDiscardPassing requires RecordPath")
 	}
 	if o.RecordFlushInterval != 0 && o.RecordPath == "" {
 		return errors.New("core: RecordFlushInterval only applies to streaming recording (set RecordPath)")

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/demo"
@@ -13,10 +15,11 @@ import (
 // Thread is a thread of the program under test. All operations on a Thread
 // must be performed by the goroutine running that thread.
 type Thread struct {
-	rt   *Runtime
-	id   TID
-	name string
-	rand *prng.Source // per-thread deterministic PRNG for application logic
+	rt      *Runtime
+	id      TID
+	started atomic.Bool // the spawned goroutine is running (Spawn's head start counts from then)
+	name    string
+	rand    *prng.Source // per-thread deterministic PRNG for application logic
 
 	// Pending trace-event details an operation body can fill in for values
 	// only known inside the critical section (a syscall's return value and
@@ -31,6 +34,13 @@ type Thread struct {
 	// operations (Var accesses) can attribute themselves to a tick without
 	// taking the scheduler lock. Owned by the thread's own goroutine.
 	lastTick uint64
+
+	// out holds what the thread printed since its last critical section
+	// (nil until it first prints). It joins the run's output at the start
+	// of the thread's next critical section (commitOutput), so output is
+	// ordered by the schedule rather than by how the host interleaved
+	// invisible regions. Owned by the thread's own goroutine.
+	out *bytes.Buffer
 
 	// uncontrolled-mode state
 	udone    chan struct{}
@@ -79,6 +89,9 @@ func (t *Thread) criticalOp(kind obs.Kind, obj uint64, name string, fn func()) {
 		rt.sch.Wait(t.id)
 		if rt.opts.Sequentialize {
 			rt.cpu.acquire(t)
+		}
+		if t.out != nil && t.out.Len() > 0 {
+			t.commitOutput()
 		}
 		if sig, ok := rt.sch.ConsumeSignal(t.id); ok {
 			// Handler entry is this critical section; the handler body
@@ -177,14 +190,21 @@ func (t *Thread) Spawn(name string, fn func(*Thread)) *Handle {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
+		child.started.Store(true)
 		rt.threadBody(child, fn)
 	}()
 	// Model pthread_create cost for strategies where physical arrival
 	// order matters (the queue strategy): give the child a head start,
 	// returning early once it has run to completion or to a blocking
 	// point. Logical strategies (random, PCT) and replay are unaffected
-	// by arrival timing, so they skip the wait.
+	// by arrival timing, so they skip the wait. The head start counts
+	// from when the child's goroutine begins: on a loaded host the
+	// goroutine can wait longer than SpawnDelay for a CPU, and a deadline
+	// taken at the go statement would then expire before the child ran.
 	if rt.rep == nil && rt.opts.SpawnDelay > 0 && rt.opts.Strategy == demo.StrategyQueue {
+		for !child.started.Load() {
+			runtime.Gosched()
+		}
 		deadline := time.Now().Add(rt.opts.SpawnDelay)
 		for time.Now().Before(deadline) && !rt.sch.ThreadSettled(child.id) {
 			runtime.Gosched()
@@ -246,9 +266,30 @@ func (t *Thread) Nap(d time.Duration) {
 }
 
 // Printf emits observable program output, collected into the report and
-// folded into the soft-desync hash.
+// folded into the soft-desync hash. Printing is an invisible operation, so
+// under the controlled scheduler the text is held until the thread's next
+// critical section and committed there: output from threads printing
+// concurrently interleaves in tick order, making Report.Output and the
+// hash a function of the schedule. Uncontrolled runs emit immediately.
 func (t *Thread) Printf(format string, args ...any) {
-	t.rt.emit([]byte(fmt.Sprintf(format, args...)))
+	if t.rt.opts.Uncontrolled {
+		t.rt.emit([]byte(fmt.Sprintf(format, args...)))
+		return
+	}
+	if t.out == nil {
+		t.out = new(bytes.Buffer)
+	}
+	fmt.Fprintf(t.out, format, args...)
+}
+
+// commitOutput appends the output t printed since its last critical
+// section to the run's output. Called by t inside its next critical
+// section, before the operation (or signal-handler entry) runs, so a
+// streaming recorder's footer latched at tick n covers exactly the output
+// committed by ticks 1..n.
+func (t *Thread) commitOutput() {
+	t.rt.emit(t.out.Bytes())
+	t.out.Reset()
 }
 
 // spin busy-waits for roughly d, modelling fixed per-event instrumentation

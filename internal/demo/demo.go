@@ -134,11 +134,12 @@ type Demo struct {
 	// used to flag soft desynchronisation (§4: a replay may satisfy all
 	// constraints yet produce output in a different order).
 	OutputHash uint64
-	// Truncated marks a demo recovered from a crashed streaming recording
-	// (see Recover): its streams are a valid prefix of the execution, not
-	// the whole run. Replay of a truncated demo stops cleanly at FinalTick
-	// instead of treating the program running past the recording's end as
-	// a desynchronisation.
+	// Truncated marks a demo whose streams are a valid prefix of the
+	// execution, not the whole run: one recovered from a crashed streaming
+	// recording (see Recover), or a queue demo the explore minimizer cut
+	// short. Replay of a truncated demo stops cleanly at FinalTick instead
+	// of treating the program running past the recording's end as a
+	// desynchronisation.
 	Truncated bool
 }
 

@@ -77,7 +77,7 @@ func MutateOnce(d *Demo, rng *prng.Source, ops []MutationOp) (*Demo, string, err
 // records surface as leftovers, which strict validation-by-replay rejects
 // and tolerant replay folds into the divergence). The copy is NOT marked
 // Truncated — replay is meant to run past T on the live strategy, not stop
-// there.
+// there; a caller that wants the replay to stop at T sets the flag.
 func (d *Demo) TruncateTo(T uint64) *Demo {
 	c := d.Clone()
 	c.FinalTick = T

@@ -201,6 +201,15 @@ func (r *Recorder) MixOutput(p []byte) {
 
 const fnvOffsetBasis = 1469598103934665603
 
+// HashOutput returns the output hash a recorder holds after mixing p, for
+// p split into any non-empty pieces: 0 for no output.
+func HashOutput(p []byte) uint64 {
+	if len(p) == 0 {
+		return 0
+	}
+	return mixHash(fnvOffsetBasis, p)
+}
+
 // mixHash folds p into FNV-1a state h. Callers seed h with fnvOffsetBasis
 // on the first byte of output (tracking initialization explicitly — a
 // state value of 0 is a legitimate mid-stream state, not a sentinel).

@@ -16,9 +16,9 @@
 //   - events — the SIGNAL/ASYNC/SYSCALL records accumulated since the
 //     previous flush, in the same wire shapes as the v1 sections.
 //   - footer — a candidate end-of-recording marker: FinalTick, output
-//     hash, and a "final" flag set only by Close. Every flush batch ends
-//     with one, so any prefix of the file that ends at an intact footer
-//     is a complete, replayable recording.
+//     hash, and a "final" flag set only by Close or CloseUnsynced. Every
+//     flush batch ends with one, so any prefix of the file that ends at
+//     an intact footer is a complete, replayable recording.
 //
 // Consistency: the recorder latches (footer tick, output hash, per-stream
 // counts) under its mutex at every completed tick — NoteSchedule for the
@@ -72,11 +72,27 @@ type StreamOptions struct {
 	// FlushInterval is the background flush period (0 = 25ms). Each flush
 	// appends at most one queue chunk, one events chunk and one footer.
 	FlushInterval time.Duration
-	// Fsync syncs the file after every flush batch, extending crash
-	// safety from process death to power failure. Off by default: the
-	// page cache survives SIGKILL, and Close always syncs.
+	// Fsync syncs the file after every background flush batch, extending
+	// crash safety from process death to power failure. Off by default:
+	// the page cache survives SIGKILL. Close seals the finished file with
+	// one sync either way; CloseUnsynced, for recordings the caller will
+	// delete, never syncs.
 	Fsync bool
 }
+
+// StreamFile is the stream writer's view of its output file. *os.File
+// implements it.
+type StreamFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// WrapStreamFile, when non-nil, wraps every file NewStreamingRecorder
+// opens, before the header is written. It is the stream writer's fault
+// seam: tests set it to count syncs and to inject write and sync errors.
+// Nothing outside tests sets it.
+var WrapStreamFile func(StreamFile) StreamFile
 
 // firstEntry is a spooled QUEUE first-tick record.
 type firstEntry struct {
@@ -95,7 +111,7 @@ type patchEntry struct {
 // encode buffers belong to whoever is inside flushMu (the background
 // flusher, Flush callers, or Close).
 type streamState struct {
-	f    *os.File
+	f    StreamFile
 	path string
 	opts StreamOptions
 
@@ -150,9 +166,13 @@ func NewStreamingRecorder(path string, s Strategy, seed1, seed2 uint64, opts Str
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = defaultFlushInterval
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	osf, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	var f StreamFile = osf
+	if WrapStreamFile != nil {
+		f = WrapStreamFile(f)
 	}
 	hdr := make([]byte, 0, v2HeaderLen)
 	hdr = append(hdr, magic2...)
@@ -240,9 +260,17 @@ func (r *Recorder) Flush() error {
 }
 
 // Close stops the background flusher, writes the final flush batch (its
-// footer carries finalTick and the final flag), syncs and closes the
-// file. The recorder must not be used after Close.
-func (r *Recorder) Close(finalTick uint64) error {
+// footer carries finalTick and the final flag), seals the file with one
+// sync and closes it. The recorder must not be used after Close.
+func (r *Recorder) Close(finalTick uint64) error { return r.close(finalTick, true) }
+
+// CloseUnsynced is Close without the sync, for a recording the caller
+// reads back and deletes: the file is complete and replayable, but only
+// the page cache holds it. Whichever of Close and CloseUnsynced runs
+// first decides; a later call returns its result.
+func (r *Recorder) CloseUnsynced(finalTick uint64) error { return r.close(finalTick, false) }
+
+func (r *Recorder) close(finalTick uint64, seal bool) error {
 	st := r.stream
 	if st == nil {
 		return nil
@@ -256,8 +284,10 @@ func (r *Recorder) Close(finalTick uint64) error {
 			err = st.werr
 		}
 		r.mu.Unlock()
-		if serr := st.f.Sync(); err == nil {
-			err = serr
+		if seal {
+			if serr := st.f.Sync(); err == nil {
+				err = serr
+			}
 		}
 		if cerr := st.f.Close(); err == nil {
 			err = cerr
@@ -393,7 +423,7 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 		return err
 	}
 	st.lastFooterTick = ft
-	if st.opts.Fsync {
+	if st.opts.Fsync && !final {
 		return st.f.Sync()
 	}
 	return nil

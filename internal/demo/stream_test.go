@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -92,6 +93,64 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 	// And the canonical v1 encodings agree byte for byte.
 	if !bytes.Equal(got.Encode(), want.Encode()) {
 		t.Fatal("v1 encodings differ")
+	}
+}
+
+// syncCounter counts the syncs of the stream file it wraps.
+type syncCounter struct {
+	StreamFile
+	n *atomic.Int32
+}
+
+func (s syncCounter) Sync() error {
+	s.n.Add(1)
+	return s.StreamFile.Sync()
+}
+
+// TestCloseUnsyncedSkipsOnlyTheSeal: Close seals the file with one sync
+// and CloseUnsynced writes the same bytes without it. StreamOptions.Fsync
+// adds one sync per background flush batch, never a second one at Close.
+func TestCloseUnsyncedSkipsOnlyTheSeal(t *testing.T) {
+	var syncs atomic.Int32
+	WrapStreamFile = func(f StreamFile) StreamFile { return syncCounter{f, &syncs} }
+	t.Cleanup(func() { WrapStreamFile = nil })
+	var first []byte
+	for _, tc := range []struct {
+		seal, fsync bool
+		want        int32
+	}{{true, false, 1}, {false, false, 0}, {true, true, 2}, {false, true, 1}} {
+		syncs.Store(0)
+		path := filepath.Join(t.TempDir(), "stream.demo2")
+		r, err := NewStreamingRecorder(path, StrategyQueue, 11, 22, StreamOptions{FlushInterval: time.Hour, Fsync: tc.fsync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := feedRecorder(r, 100)
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		closeStream := r.CloseUnsynced
+		if tc.seal {
+			closeStream = r.Close
+		}
+		if err := closeStream(final); err != nil {
+			t.Fatal(err)
+		}
+		if got := syncs.Load(); got != tc.want {
+			t.Errorf("seal=%v fsync=%v: %d syncs, want %d", tc.seal, tc.fsync, got, tc.want)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = data
+			if _, err := DecodeStream(data); err != nil {
+				t.Fatalf("closed stream does not decode: %v", err)
+			}
+		} else if !bytes.Equal(data, first) {
+			t.Errorf("seal=%v fsync=%v: file differs from the sealed one", tc.seal, tc.fsync)
+		}
 	}
 }
 

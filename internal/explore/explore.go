@@ -17,15 +17,12 @@
 // env.World; trials share nothing but the read-only program body and the
 // observability instruments.
 //
-// from plain goroutines; nothing here executes between Wait and Tick.
-//
 //tsanrec:external exploration harness: runs whole Runtimes to completion
 package explore
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -87,10 +84,13 @@ type Config struct {
 	// RecordDir, when set, streams every fresh trial's recording to
 	// RecordDir/trial%06d.demo2 as the trial executes (core.Options
 	// .RecordPath), so a trial that wedges or crashes the process still
-	// leaves a recoverable prefix behind. Passing trials' files are
-	// removed; failing trials' files are kept and their paths reported in
-	// Failure.DemoPath. Mutated trials record in memory only (their
-	// recorder is the tolerant replayer's). The directory must exist.
+	// leaves a recoverable prefix behind. Only failing trials keep their
+	// files, sealed (core.Options.RecordDiscardPassing): passing trials'
+	// files are deleted unsynced. Failure.DemoPath reports the file of
+	// each signature's representative trial; duplicates' files stay in
+	// the directory unreported. Mutated trials record in memory only
+	// (their recorder is the tolerant replayer's). The directory must
+	// exist.
 	RecordDir string
 	// World, if non-nil, supplies a fresh virtual environment per trial;
 	// nil lets core derive one from the trial seeds.
@@ -320,7 +320,10 @@ func Run(cfg Config) (*Result, error) {
 			case d := <-doneC:
 				buf[d.spec.Index] = d
 			}
-		} else {
+		} else if _, ok := buf[delivered]; !ok {
+			// Slot delivered is neither queued nor buffered, so its trial
+			// is in flight. A buffered slot (an unrun one after the wall
+			// budget expired) is delivered below without waiting.
 			d := <-doneC
 			buf[d.spec.Index] = d
 		}
@@ -452,6 +455,7 @@ func runTrial(cfg *Config, spec TrialSpec) (Outcome, *trialFailure, *demo.Demo) 
 		opts.PCTLength = spec.PCTLength
 		if cfg.RecordDir != "" {
 			opts.RecordPath = filepath.Join(cfg.RecordDir, fmt.Sprintf("trial%06d.demo2", spec.Index))
+			opts.RecordDiscardPassing = true
 		}
 	}
 	rt, err := core.New(opts)
@@ -472,11 +476,6 @@ func runTrial(cfg *Config, spec TrialSpec) (Outcome, *trialFailure, *demo.Demo) 
 		Duration: time.Since(t0),
 	}
 	if !rep.Failed() {
-		if rep.DemoPath != "" {
-			// Passing trials' streamed recordings are transient crash
-			// insurance; only failing trials keep theirs.
-			os.Remove(rep.DemoPath)
-		}
 		return out, nil, rep.Demo
 	}
 	out.Failed = true

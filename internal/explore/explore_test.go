@@ -164,6 +164,49 @@ func TestRunWallBudget(t *testing.T) {
 	}
 }
 
+// slowFeedback is a source whose Feedback outlasts a short wall budget.
+type slowFeedback struct{ TrialSource }
+
+func (s slowFeedback) Feedback(fb Feedback) {
+	time.Sleep(20 * time.Millisecond)
+	s.TrialSource.Feedback(fb)
+}
+
+// TestRunWallBudgetExpiresIdle: the budget runs out during a feedback
+// call, with the next spec generated but no trial in flight. The sweep
+// must still deliver that unrun slot and return.
+func TestRunWallBudgetExpiresIdle(t *testing.T) {
+	cfg := detCfg(t, 1)
+	cfg.Source = slowFeedback{detRotation()}
+	cfg.FeedbackLag = 1
+	cfg.WallBudget = 5 * time.Millisecond
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after its wall budget expired")
+	}
+	if res == nil {
+		return
+	}
+	if !res.WallExpired || res.Trials == 0 || len(res.Outcomes) <= res.Trials {
+		t.Fatalf("expired=%v, ran %d of %d slots", res.WallExpired, res.Trials, len(res.Outcomes))
+	}
+	for _, o := range res.Outcomes[res.Trials:] {
+		if o.Ran {
+			t.Fatal("outcome past the wall cutoff marked Ran")
+		}
+	}
+}
+
 func TestRunMetrics(t *testing.T) {
 	cfg := detCfg(t, 2)
 	cfg.Trials = 6

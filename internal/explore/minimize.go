@@ -12,9 +12,11 @@
 //     seed-determined strategies (random, PCT, delay) the live
 //     continuation is exactly the recorded one — so the constrained
 //     prefix can usually shrink to the failure point while the replay
-//     still reproduces bit-for-bit. Queue demos shrink less (the live
-//     continuation depends on physical arrival), which the re-validation
-//     naturally detects and rejects.
+//     still reproduces bit-for-bit. The queue strategy's live
+//     continuation follows physical arrival order instead, so a queue
+//     prefix that reproduced once could replay to anything afterwards:
+//     queue candidates are marked Truncated, their replay stops at the
+//     cut, and the failure must show within it.
 //  2. Per-stream event dropping: greedily remove ASYNC and SIGNAL events
 //     (highest index first) and keep each removal that still reproduces.
 //     Syscall records are never dropped — replay consumes them
@@ -53,7 +55,15 @@ func minimizeFailure(cfg *Config, f *Failure) {
 	for lo < hi && replays < cfg.MinimizeBudget {
 		mid := lo + (hi-lo)/2
 		cand := best.TruncateTo(mid)
-		if cand.Validate() == nil && reproduces(cand) {
+		ok := cand.Validate() == nil
+		if ok && cand.Strategy == demo.StrategyQueue {
+			cand.Truncated = true
+			replays++
+			ok = replayPrefixSignature(cfg, cand) == f.Signature
+		} else if ok {
+			ok = reproduces(cand)
+		}
+		if ok {
 			hi = mid
 			best = cand
 			continue
@@ -93,10 +103,34 @@ func minimizeFailure(cfg *Config, f *Failure) {
 // mode cannot desync), so broken candidates are rejected by the ordinary
 // signature comparison.
 func replaySignature(cfg *Config, d *demo.Demo) string {
-	rt, err := core.New(trialOptions(cfg, core.ReplayOptions(d)))
+	rep, err := replayReport(cfg, d)
 	if err != nil {
 		return "config:" + err.Error()
 	}
-	rep, _ := rt.Run(cfg.Program.Body(rt))
 	return signatureOf(rep)
+}
+
+// replayPrefixSignature is replaySignature for a truncated candidate cut
+// from a demo that reproduces. Its output hash is still the whole run's,
+// which no prefix matches, so it takes the hash of the output this replay
+// committed by the cut instead: output is ordered by the schedule, and
+// the candidate follows the recorded schedule up to the cut. Later
+// replays of d check against that hash as usual.
+func replayPrefixSignature(cfg *Config, d *demo.Demo) string {
+	rep, err := replayReport(cfg, d)
+	if err != nil {
+		return "config:" + err.Error()
+	}
+	d.OutputHash = demo.HashOutput(rep.Output)
+	rep.SoftDesync = false
+	return signatureOf(rep)
+}
+
+func replayReport(cfg *Config, d *demo.Demo) (*core.Report, error) {
+	rt, err := core.New(trialOptions(cfg, core.ReplayOptions(d)))
+	if err != nil {
+		return nil, err
+	}
+	rep, _ := rt.Run(cfg.Program.Body(rt))
+	return rep, nil
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/demo"
 )
 
@@ -83,6 +84,87 @@ func TestMinimizerQueueStrategy(t *testing.T) {
 			if sig := replaySignature(&cfg, f.Minimized); sig != f.Signature {
 				t.Errorf("failure %q: minimized queue demo replays to %q", f.Signature, sig)
 			}
+		}
+	}
+}
+
+// printingRace races a write in w against a read in main that a relaxed
+// flag orders in time but not by happens-before, so every schedule fails
+// with the same signature, and both threads print before and after it.
+func printingRace() Program {
+	return Program{Name: "printing-race", Body: func(rt *core.Runtime) func(*core.Thread) {
+		return func(main *core.Thread) {
+			v := core.NewVar(rt, "pr.v", 0)
+			flag := main.NewAtomic64("pr.flag", 0)
+			w := main.Spawn("w", func(t *core.Thread) {
+				for i := 0; i < 5; i++ {
+					t.Printf("w%d\n", i)
+					t.Yield()
+				}
+				v.Write(t, 1)
+				flag.Store(t, 1, core.Relaxed)
+				for i := 5; i < 25; i++ {
+					t.Printf("w%d\n", i)
+					t.Yield()
+				}
+			})
+			for flag.Load(main, core.Relaxed) == 0 {
+				main.Printf("m\n")
+				main.Yield()
+			}
+			main.Printf("read %d\n", v.Read(main))
+			for i := 0; i < 20; i++ {
+				main.Printf("m%d\n", i)
+				main.Yield()
+			}
+			main.Join(w)
+		}
+	}}
+}
+
+// TestMinimizedQueuePrefixStopsAtCut: past its last tick a queue replay
+// would follow physical arrival order, so a shortened queue demo must be
+// marked Truncated and carry the output hash of its own prefix; then it
+// replays to the failure, without soft desync, every time.
+func TestMinimizedQueuePrefixStopsAtCut(t *testing.T) {
+	cfg := Config{
+		Program:           printingRace(),
+		Source:            &SeedRotation{MasterSeed: 7, Strategies: []demo.Strategy{demo.StrategyQueue}},
+		Trials:            3,
+		Workers:           1,
+		RescheduleQuantum: -1,
+		Minimize:          true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 {
+		t.Fatalf("want the one race, got %d failures", len(res.Failures))
+	}
+	f := res.Failures[0]
+	if !f.Reproduced {
+		t.Fatalf("failure %q did not reproduce from its recording", f.Signature)
+	}
+	m := f.Minimized
+	if m.FinalTick >= f.Demo.FinalTick {
+		t.Fatalf("minimizer kept all %d ticks", f.Demo.FinalTick)
+	}
+	if !m.Truncated {
+		t.Fatalf("shortened queue demo (%d of %d ticks) not marked Truncated", m.FinalTick, f.Demo.FinalTick)
+	}
+	if m.OutputHash == f.Demo.OutputHash {
+		t.Fatalf("prefix kept the whole run's output hash %#x", m.OutputHash)
+	}
+	for i := 0; i < 10; i++ {
+		rt, err := core.New(trialOptions(&cfg, core.ReplayOptions(m)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := rt.Run(cfg.Program.Body(rt))
+		if sig := signatureOf(rep); sig != f.Signature || rep.Ticks != m.FinalTick {
+			t.Fatalf("replay %d: signature %q after %d ticks, want %q after %d",
+				i, sig, rep.Ticks, f.Signature, m.FinalTick)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package explore
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -176,4 +181,86 @@ func TestNeedleShallowFindable(t *testing.T) {
 		}
 	}
 	t.Fatal("shallow race not found in 120 rotation trials")
+}
+
+// TestRecordDirMatchesInMemorySweep: streaming fresh trials into a record
+// directory changes nothing about the sweep, and the directory ends up
+// holding exactly the failing fresh trials' recordings, each of which
+// strict-replays to its trial's signature.
+func TestRecordDirMatchesInMemorySweep(t *testing.T) {
+	sweep := func(recordDir string) *Result {
+		t.Helper()
+		src, err := NewWeightedSource([]TrialSource{needleRotation(), &MutationQueue{Seed: needleMQSeed}}, []int{1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{Program: testProgram(t, "needle"), Trials: 200, Workers: 2,
+			RescheduleQuantum: -1, Source: src, RecordDir: recordDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	dir := t.TempDir()
+	mem, rec := sweep(""), sweep(dir)
+
+	if len(rec.Outcomes) != len(mem.Outcomes) {
+		t.Fatalf("%d outcomes streamed, %d in memory", len(rec.Outcomes), len(mem.Outcomes))
+	}
+	var want []string
+	for i := range mem.Outcomes {
+		a, b := mem.Outcomes[i], rec.Outcomes[i]
+		a.Duration, b.Duration = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("trial %d differs:\n  in memory %+v\n  streamed  %+v", i, a, b)
+		}
+		if b.Failed && b.Spec.Mutant == nil {
+			want = append(want, fmt.Sprintf("trial%06d.demo2", i))
+		}
+	}
+	if len(rec.Failures) != len(mem.Failures) {
+		t.Fatalf("%d failures streamed, %d in memory", len(rec.Failures), len(mem.Failures))
+	}
+	for i, f := range rec.Failures {
+		g := *f
+		if f.Spec.Mutant == nil {
+			if want := filepath.Join(dir, fmt.Sprintf("trial%06d.demo2", f.Spec.Index)); f.DemoPath != want {
+				t.Errorf("failure %d: DemoPath %q, want %q", i, f.DemoPath, want)
+			}
+		} else if f.DemoPath != "" {
+			t.Errorf("failure %d: mutated trial reports DemoPath %q", i, f.DemoPath)
+		}
+		g.DemoPath = ""
+		if !reflect.DeepEqual(&g, mem.Failures[i]) {
+			t.Errorf("failure %d differs from the in-memory sweep's: %q vs %q", i, f.Signature, mem.Failures[i].Signature)
+		}
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	sort.Strings(got)
+	t.Logf("%d failing fresh trials, %d distinct failures, %d mutants", len(want), len(rec.Failures), rec.Mutants)
+	if len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("record dir holds %v, want one file per failing fresh trial %v", got, want)
+	}
+	cfg := Config{Program: testProgram(t, "needle"), RescheduleQuantum: -1}
+	for _, name := range got {
+		var idx int
+		if _, err := fmt.Sscanf(name, "trial%06d.demo2", &idx); err != nil {
+			t.Fatal(err)
+		}
+		d, err := demo.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sig := replaySignature(&cfg, d); sig != rec.Outcomes[idx].Signature {
+			t.Errorf("%s strict-replays to %q, want %q", name, sig, rec.Outcomes[idx].Signature)
+		}
+	}
 }
