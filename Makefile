@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke bench
+.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke fuzz-smoke bench
 
 check: fmt vet build test tsanvet
 
@@ -121,6 +121,14 @@ load-smoke:
 	grep -q 'completed=1000 errors=0' /tmp/load-smoke.log
 	/tmp/netload -replay /tmp/load-smoke.demo2 | tee /tmp/load-smoke-replay.log
 	grep -q 'desync=false' /tmp/load-smoke-replay.log
+
+# fuzz-smoke fuzzes both demo decoders beyond their seed corpora for 30s
+# each: the v1/v2 decoder (FuzzDecode) and the torn-file recovery path
+# (FuzzRecoverStream). A crash fails the target and leaves the input under
+# internal/demo/testdata/fuzz; check it in as a seed once fixed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/demo
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverStream$$' -fuzztime 30s ./internal/demo
 
 bench:
 	$(GO) test -bench=. -benchmem

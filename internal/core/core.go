@@ -60,10 +60,9 @@ type Report struct {
 	DemoPath string
 	// Leaked counts threads still live when main returned.
 	Leaked int
-	// SoftDesync reports replay output diverging from the recording while
-	// all hard constraints held (§4). Under tolerant replay modes a
-	// diverged execution is expected to produce different output, so
-	// SoftDesync stays false once Diverged is set.
+	// SoftDesync reports strict replay output diverging from the recording
+	// while all hard constraints held (§4). A tolerant replay's drifting
+	// output is a divergence instead.
 	SoftDesync bool
 	// Diverged marks where a tolerant replay (Options.ReplayMode) left the
 	// demo's constraints and went live. Nil for strict replays and for
@@ -249,13 +248,6 @@ func New(opts Options) (*Runtime, error) {
 	if rt.world == nil {
 		rt.world = env.NewWorld(seed1 ^ seed2)
 	}
-	// A truncated demo (a crash-recovered prefix) ends mid-execution:
-	// replay stops cleanly once its last recorded tick completes instead of
-	// running ahead of the streams and hard-desynchronising.
-	var stopAt uint64
-	if opts.Replay != nil && opts.Replay.Truncated {
-		stopAt = opts.Replay.FinalTick
-	}
 	world := rt.world
 	s, err := sched.New(sched.Options{
 		Kind:       opts.Strategy,
@@ -263,7 +255,6 @@ func New(opts Options) (*Runtime, error) {
 		Seed2:      seed2,
 		Recorder:   recorder,
 		Replayer:   replayer,
-		StopAtTick: stopAt,
 		MaxTicks:   opts.MaxTicks,
 		MaxThreads: opts.MaxThreads,
 		PCTDepth:   opts.PCTDepth,
@@ -355,11 +346,8 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 		Output:  rt.output,
 	}
 	err := rt.sch.Err()
-	if errors.Is(err, sched.ErrShutdown) {
-		err = nil // normal straggler cleanup
-	}
-	if errors.Is(err, sched.ErrReplayEnd) {
-		err = nil // clean stop at the end of a truncated demo's prefix
+	if errors.Is(err, sched.ErrShutdown) || errors.Is(err, sched.ErrReplayEnd) {
+		err = nil // straggler cleanup, or the clean end of a truncated demo
 	}
 	rt.mu.Lock()
 	if err == nil && rt.appErr != nil {
@@ -374,23 +362,8 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 		}
 	}
 	if rt.rep != nil {
-		oc := rt.rep.Outcome(rt.sch.TickCount())
-		if err == nil && oc.Err != nil {
-			err = oc.Err
-			// Desyncs raised mid-run flow through the scheduler's
-			// failLocked and are traced there; leftover constraints are
-			// only discovered here, so trace them here.
-			var lde *demo.DesyncError
-			if errors.As(oc.Err, &lde) && rt.tr.Enabled() {
-				rt.tr.Emit(obs.Event{Tick: lde.Tick, TID: lde.TID, Kind: obs.KindDesync,
-					Stream: obs.StreamFromName(lde.Stream), Offset: lde.Offset})
-			}
-		}
-		rep.Diverged = oc.Diverged
-		// A diverged tolerant replay legitimately produces different
-		// output; only an undiverged replay's hash mismatch is a soft
-		// desync worth flagging.
-		rep.SoftDesync = oc.SoftDesync && oc.Diverged == nil
+		oc := rt.rep.Outcome(rt.sch.TickCount(), err)
+		err, rep.Diverged, rep.SoftDesync = oc.Err, oc.Diverged, oc.SoftDesync
 	}
 	rep.Err = err
 	if err != nil {

@@ -168,3 +168,62 @@ func TestObsNilSafeRun(t *testing.T) {
 		t.Error("unexpected forensics report")
 	}
 }
+
+// TestDivergenceLeavesOneTraceEvent: a replay whose SYSCALL stream is cut
+// short leaves exactly one desync event in the trace, at the point the
+// run's verdict names — the divergence of a tolerant replay, which goes
+// live and completes, and the hard desync of a strict one.
+func TestDivergenceLeavesOneTraceEvent(t *testing.T) {
+	rt := newTestRuntime(t, Options{
+		Strategy: demo.StrategyQueue, Seed1: 5, Seed2: 6,
+		Record: true, Policy: PolicySparse,
+	})
+	rec, err := rt.Run(clockProgram(rt))
+	if err != nil {
+		t.Fatalf("record run: %v", err)
+	}
+	d := rec.Demo
+	cut := len(d.Syscalls) / 2
+	d.Syscalls = d.Syscalls[:cut]
+
+	desyncs := func(tr *obs.Tracer) []obs.Event {
+		var evs []obs.Event
+		for _, ev := range tr.Snapshot() {
+			if ev.Kind == obs.KindDesync {
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+
+	tr := obs.NewTracer(1 << 12)
+	opts := TolerantReplayOptions(d)
+	opts.Policy, opts.Trace = PolicySparse, tr
+	rt2 := newTestRuntime(t, opts)
+	rep, err := rt2.Run(clockProgram(rt2))
+	if err != nil {
+		t.Fatalf("tolerant replay: %v", err)
+	}
+	if rep.Diverged == nil {
+		t.Fatal("tolerant replay of a cut SYSCALL stream did not diverge")
+	}
+	evs := desyncs(tr)
+	if len(evs) != 1 {
+		t.Fatalf("trace holds %d desync events, want 1: %v", len(evs), evs)
+	}
+	if ev := evs[0]; ev.Stream != obs.StreamSyscall || ev.Tick != rep.Diverged.Tick || ev.Offset != uint64(cut) {
+		t.Errorf("desync event %v does not match divergence %v at SYSCALL offset %d", ev, rep.Diverged, cut)
+	}
+
+	tr = obs.NewTracer(1 << 12)
+	rt3 := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: d, Policy: PolicySparse, Trace: tr})
+	_, err = rt3.Run(clockProgram(rt3))
+	var de *demo.DesyncError
+	if !errors.As(err, &de) {
+		t.Fatalf("strict replay err = %v, want DesyncError", err)
+	}
+	evs = desyncs(tr)
+	if len(evs) != 1 || evs[0].Tick != de.Tick || evs[0].Stream != obs.StreamSyscall {
+		t.Errorf("strict replay trace holds desync events %v, want one for %v", evs, de)
+	}
+}

@@ -48,12 +48,11 @@ type Options struct {
 	// Replay, if non-nil, replays the given demo. The demo dictates the
 	// strategy's decisions and the PRNG seeds.
 	Replay *demo.Demo
-	// ReplayMode selects how strictly the replay is held to the demo
-	// (requires Replay). The zero value is demo.ReplayStrict — the paper's
-	// contract, any mismatch a hard desync. demo.ReplayTolerant enforces
-	// each recorded decision only while feasible and falls back to the live
-	// strategy at the first infeasible one, reporting Report.Diverged
-	// instead of an error. demo.ReplayTolerantRecord additionally
+	// ReplayMode selects the replay policy (requires Replay). The zero value
+	// is demo.ReplayStrict — the paper's contract, any mismatch a hard
+	// desync. demo.ReplayTolerantRecord enforces each recorded decision
+	// only while feasible, falls back to the live strategy at the first
+	// infeasible one, reporting Report.Diverged instead of an error, and
 	// re-records the whole execution (replayed prefix + live suffix) into
 	// Report.Demo as a new strict-replayable demo; Record must be left
 	// false — the recorder is implicit.
@@ -249,7 +248,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("core: ReplayMode %s requires Replay", o.ReplayMode)
 		}
 		if o.Record {
-			return errors.New("core: Record must be left false under tolerant replay modes; ReplayTolerantRecord records implicitly")
+			return errors.New("core: Record must be left false under tolerant replay; ReplayTolerantRecord records implicitly")
 		}
 	}
 	if o.Debug != nil && o.Replay == nil {

@@ -41,26 +41,31 @@ func (t *Thread) syscall(kind env.Sys, fd int, live func() sysResult) sysResult 
 		record := rt.opts.Policy.ShouldRecord(kind, fdk)
 		if rt.rep != nil && record {
 			consumed, _ := rt.rep.SyscallCursor()
-			rec, replayed, err := rt.rep.NextSyscall(int32(t.id), uint16(kind), rt.sch.TickCount())
+			tick := rt.sch.TickCount()
+			rec, replayed, err := rt.rep.NextSyscall(int32(t.id), uint16(kind), tick)
+			if replayed {
+				if de := rt.replayFixup(kind, rec.Ret); de != nil {
+					de.Tick, de.TID, de.Offset = tick, int32(t.id), uint64(consumed)
+					replayed, err = false, rt.rep.Desync(de)
+				}
+			}
 			if err != nil {
 				rt.sch.Stop(err)
 				panic(sched.Abort{Err: err})
 			}
 			if replayed {
 				res = sysResult{ret: rec.Ret, errno: env.Errno(rec.Errno), bufs: rec.Bufs}
-				if rt.replayFixup(kind, &res) {
-					if rt.rec != nil {
-						// Tolerant-record: the replayed result re-enters the
-						// new recording, keeping its SYSCALL stream complete.
-						rt.rec.AddSyscall(demo.SyscallRecord{
-							TID: int32(t.id), Kind: uint16(kind),
-							Ret: res.ret, Errno: int32(res.errno), Bufs: res.bufs,
-						})
-					}
-					t.evArg = res.ret
-					t.evStream, t.evOff = obs.StreamSyscall, uint64(consumed)
-					return
+				if rt.rec != nil {
+					// Tolerant-record: the replayed result re-enters the
+					// new recording, keeping its SYSCALL stream complete.
+					rt.rec.AddSyscall(demo.SyscallRecord{
+						TID: int32(t.id), Kind: uint16(kind),
+						Ret: res.ret, Errno: int32(res.errno), Bufs: res.bufs,
+					})
 				}
+				t.evArg = res.ret
+				t.evStream, t.evOff = obs.StreamSyscall, uint64(consumed)
+				return
 			}
 			// A tolerant replay that diverged on this call (mismatch,
 			// exhausted stream, or fixup drift) executes it live, like
@@ -81,35 +86,22 @@ func (t *Thread) syscall(kind env.Sys, fd int, live func() sysResult) sysResult 
 
 // replayFixup keeps environment state aligned with recorded results that
 // have structural side effects: a replayed accept must still consume an fd
-// number so later live calls see the same fd table. Returns false when the
-// replayed result cannot be used: a strict replay has then already been
-// stopped (and this call panics the thread), while a tolerant one has
-// marked the divergence and the caller re-executes the syscall live.
-func (rt *Runtime) replayFixup(kind env.Sys, res *sysResult) bool {
-	switch kind {
-	case env.SysAccept, env.SysAccept4:
-		if res.ret >= 0 {
-			got := rt.world.AllocPlaceholder(env.FDSocket)
-			if int64(got) != res.ret {
-				consumed, _ := rt.rep.SyscallCursor()
-				if rt.rep.Tolerant() {
-					rt.rep.NoteDiverged(rt.sch.TickCount(), fmt.Sprintf(
-						"replayed accept fd %d out of step with the fd table (next fd %d)", res.ret, got))
-					return false
-				}
-				err := &demo.DesyncError{
-					Stream: "SYSCALL", Tick: rt.sch.TickCount(),
-					Offset:   uint64(consumed),
-					Reason:   "replayed accept returned fd out of step with the fd table",
-					Expected: fmt.Sprintf("accept -> fd %d", res.ret),
-					Observed: fmt.Sprintf("fd table would hand out fd %d", got),
-				}
-				rt.sch.Stop(err)
-				panic(sched.Abort{Err: err})
-			}
+// number so later live calls see the same fd table. It returns the desync
+// of a result the fd table cannot honour, for the caller to place and hand
+// to the replay policy, and nil otherwise.
+func (rt *Runtime) replayFixup(kind env.Sys, ret int64) *demo.DesyncError {
+	if (kind != env.SysAccept && kind != env.SysAccept4) || ret < 0 {
+		return nil
+	}
+	if got := rt.world.AllocPlaceholder(env.FDSocket); int64(got) != ret {
+		return &demo.DesyncError{
+			Stream:   "SYSCALL",
+			Reason:   fmt.Sprintf("replayed accept fd %d out of step with the fd table (next fd %d)", ret, got),
+			Expected: fmt.Sprintf("accept -> fd %d", ret),
+			Observed: fmt.Sprintf("fd table would hand out fd %d", got),
 		}
 	}
-	return true
+	return nil
 }
 
 // Socket creates a stream socket (always live: structural).

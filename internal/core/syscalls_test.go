@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -141,6 +144,52 @@ func TestAllSyscallWrappersRecordReplay(t *testing.T) {
 		if rep.SoftDesync {
 			t.Errorf("%v: soft desync", strat)
 		}
+	}
+}
+
+// TestAcceptFdOutOfStep: a replayed accept whose recorded fd the fd table
+// cannot hand out is a SYSCALL desync whose reason names both fds. A
+// strict replay stops with it; a tolerant one reports it as its
+// divergence and runs the accept live.
+func TestAcceptFdOutOfStep(t *testing.T) {
+	world := newSyscallWorld()
+	startClient(world)
+	rt := newTestRuntime(t, Options{
+		Strategy: demo.StrategyQueue, Seed1: 4, Seed2: 8, Record: true, World: world,
+	})
+	rec, err := rt.Run(syscallProgram(rt))
+	if err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	d := rec.Demo
+	i := slices.IndexFunc(d.Syscalls, func(r demo.SyscallRecord) bool {
+		return r.Kind == uint16(env.SysAccept4) && r.Ret >= 0
+	})
+	if i < 0 {
+		t.Fatal("no successful accept4 recorded")
+	}
+	fd := d.Syscalls[i].Ret
+	d.Syscalls[i].Ret = fd + 7
+	want := fmt.Sprintf("replayed accept fd %d out of step with the fd table (next fd %d)", fd+7, fd)
+
+	rt2 := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: d, World: newSyscallWorld()})
+	_, err = rt2.Run(syscallProgram(rt2))
+	var de *demo.DesyncError
+	if !errors.As(err, &de) || de.Stream != "SYSCALL" || de.Reason != want {
+		t.Fatalf("strict replay err = %v, want a SYSCALL desync %q", err, want)
+	}
+
+	live := newSyscallWorld()
+	startClient(live)
+	opts := TolerantReplayOptions(d)
+	opts.World = live
+	rt3 := newTestRuntime(t, opts)
+	rep, err := rt3.Run(syscallProgram(rt3))
+	if err != nil {
+		t.Fatalf("tolerant replay: %v", err)
+	}
+	if rep.Diverged == nil || rep.Diverged.Reason != want {
+		t.Fatalf("tolerant replay diverged %v, want reason %q", rep.Diverged, want)
 	}
 }
 

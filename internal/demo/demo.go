@@ -21,11 +21,12 @@
 package demo
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/atomicfile"
 	"repro/internal/rle"
@@ -189,7 +190,9 @@ const (
 // secMeta flag bits.
 const metaTruncated = 1
 
-// Encode serialises the demo to its binary on-disk form.
+// Encode serialises the demo to its binary on-disk form: the header, then
+// one section per stream, each a tag byte and the shared record codec's
+// encoding (codec.go).
 func (d *Demo) Encode() []byte {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, magic...)
@@ -199,51 +202,16 @@ func (d *Demo) Encode() []byte {
 	buf = binary.AppendUvarint(buf, d.FinalTick)
 	buf = binary.LittleEndian.AppendUint64(buf, d.OutputHash)
 
-	// QUEUE section.
-	buf = append(buf, secQueue)
-	tids := make([]int32, 0, len(d.Queue.FirstTick))
-	for tid := range d.Queue.FirstTick {
-		tids = append(tids, tid)
+	firsts := make([]firstEntry, 0, len(d.Queue.FirstTick))
+	for tid, t := range d.Queue.FirstTick {
+		firsts = append(firsts, firstEntry{tid: tid, tick: t})
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(tids)))
-	for _, tid := range tids {
-		buf = binary.AppendUvarint(buf, uint64(uint32(tid)))
-		buf = binary.AppendUvarint(buf, d.Queue.FirstTick[tid])
-	}
+	slices.SortFunc(firsts, func(a, b firstEntry) int { return cmp.Compare(a.tid, b.tid) })
+	buf = appendFirsts(append(buf, secQueue), firsts)
 	buf = rle.AppendUint64s(buf, d.Queue.Ticks)
-
-	// SIGNAL section.
-	buf = append(buf, secSignal)
-	buf = binary.AppendUvarint(buf, uint64(len(d.Signals)))
-	for _, s := range d.Signals {
-		buf = binary.AppendUvarint(buf, uint64(uint32(s.TID)))
-		buf = binary.AppendUvarint(buf, s.Tick)
-		buf = binary.AppendUvarint(buf, uint64(uint32(s.Sig)))
-	}
-
-	// SYSCALL section.
-	buf = append(buf, secSyscall)
-	buf = binary.AppendUvarint(buf, uint64(len(d.Syscalls)))
-	for _, sc := range d.Syscalls {
-		buf = binary.AppendUvarint(buf, uint64(uint32(sc.TID)))
-		buf = binary.AppendUvarint(buf, uint64(sc.Kind))
-		buf = binary.AppendUvarint(buf, zigzag(sc.Ret))
-		buf = binary.AppendUvarint(buf, uint64(uint32(sc.Errno)))
-		buf = binary.AppendUvarint(buf, uint64(len(sc.Bufs)))
-		for _, b := range sc.Bufs {
-			buf = rle.AppendBytes(buf, b)
-		}
-	}
-
-	// ASYNC section.
-	buf = append(buf, secAsync)
-	buf = binary.AppendUvarint(buf, uint64(len(d.Asyncs)))
-	for _, a := range d.Asyncs {
-		buf = append(buf, byte(a.Kind))
-		buf = binary.AppendUvarint(buf, a.Tick)
-		buf = binary.AppendUvarint(buf, uint64(uint32(a.TID)))
-	}
+	buf = appendSignals(append(buf, secSignal), d.Signals)
+	buf = appendSyscalls(append(buf, secSyscall), d.Syscalls)
+	buf = appendAsyncs(append(buf, secAsync), d.Asyncs)
 
 	// META section, only emitted when a flag is set: demos without flags
 	// keep their historical byte-identical encoding.
@@ -251,179 +219,49 @@ func (d *Demo) Encode() []byte {
 		buf = append(buf, secMeta)
 		buf = binary.AppendUvarint(buf, metaTruncated)
 	}
-
-	buf = append(buf, secEnd)
-	return buf
+	return append(buf, secEnd)
 }
 
-// Decode parses a demo from its binary form.
+// Decode parses a demo from its binary form. A section's first-tick map
+// and record slice decode non-nil even when empty, while an empty QUEUE
+// tick list decodes nil (golden_test.go pins both).
 func Decode(data []byte) (*Demo, error) {
 	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	off := len(magic)
-	if data[off] != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[off])
+	if v := data[len(magic)]; v != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	d := &Demo{Strategy: Strategy(data[off+1])}
-	off += 2
-	if len(data) < off+16 {
-		return nil, fmt.Errorf("%w: truncated seeds", ErrCorrupt)
-	}
-	d.Seed1 = binary.LittleEndian.Uint64(data[off:])
-	d.Seed2 = binary.LittleEndian.Uint64(data[off+8:])
-	off += 16
-	ft, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: final tick", ErrCorrupt)
-	}
-	d.FinalTick = ft
-	off += n
-	if len(data) < off+8 {
-		return nil, fmt.Errorf("%w: truncated output hash", ErrCorrupt)
-	}
-	d.OutputHash = binary.LittleEndian.Uint64(data[off:])
-	off += 8
-
-	uv := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
-		}
-		off += n
-		return v, nil
-	}
-
-	for off < len(data) {
-		sec := data[off]
-		off++
-		switch sec {
+	d := &Demo{Strategy: Strategy(data[len(magic)+1])}
+	c := &payCursor{pay: data, off: len(magic) + 2}
+	d.Seed1 = c.fixed64("truncated seeds")
+	d.Seed2 = c.fixed64("truncated seeds")
+	d.FinalTick = c.uvarint("final tick")
+	d.OutputHash = c.fixed64("truncated output hash")
+	for c.err == nil && c.off < len(data) {
+		switch sec := c.byteVal("section tag"); sec {
 		case secQueue:
-			nEntries, err := uv("queue map size")
-			if err != nil {
-				return nil, err
-			}
-			d.Queue.FirstTick = make(map[int32]uint64, nEntries)
-			for i := uint64(0); i < nEntries; i++ {
-				tid, err := uv("queue map tid")
-				if err != nil {
-					return nil, err
-				}
-				first, err := uv("queue map tick")
-				if err != nil {
-					return nil, err
-				}
-				d.Queue.FirstTick[int32(uint32(tid))] = first
-			}
-			ticks, n, err := rle.DecodeUint64s(data[off:])
-			if err != nil {
-				return nil, fmt.Errorf("demo: queue ticks: %w", err)
-			}
-			d.Queue.Ticks = ticks
-			off += n
+			d.Queue.FirstTick = c.firstTicks(map[int32]uint64{})
+			d.Queue.Ticks = c.rleUint64s("queue ticks")
 		case secSignal:
-			count, err := uv("signal count")
-			if err != nil {
-				return nil, err
-			}
-			d.Signals = make([]SignalEvent, 0, count)
-			for i := uint64(0); i < count; i++ {
-				tid, err := uv("signal tid")
-				if err != nil {
-					return nil, err
-				}
-				tick, err := uv("signal tick")
-				if err != nil {
-					return nil, err
-				}
-				sig, err := uv("signal value")
-				if err != nil {
-					return nil, err
-				}
-				d.Signals = append(d.Signals, SignalEvent{
-					TID: int32(uint32(tid)), Tick: tick, Sig: int32(uint32(sig)),
-				})
-			}
+			d.Signals = c.signals([]SignalEvent{})
 		case secSyscall:
-			count, err := uv("syscall count")
-			if err != nil {
-				return nil, err
-			}
-			d.Syscalls = make([]SyscallRecord, 0, count)
-			for i := uint64(0); i < count; i++ {
-				tid, err := uv("syscall tid")
-				if err != nil {
-					return nil, err
-				}
-				kind, err := uv("syscall kind")
-				if err != nil {
-					return nil, err
-				}
-				ret, err := uv("syscall ret")
-				if err != nil {
-					return nil, err
-				}
-				errno, err := uv("syscall errno")
-				if err != nil {
-					return nil, err
-				}
-				nbufs, err := uv("syscall buf count")
-				if err != nil {
-					return nil, err
-				}
-				sc := SyscallRecord{
-					TID: int32(uint32(tid)), Kind: uint16(kind),
-					Ret: unzigzag(ret), Errno: int32(uint32(errno)),
-				}
-				for b := uint64(0); b < nbufs; b++ {
-					buf, n, err := rle.DecodeBytes(data[off:])
-					if err != nil {
-						return nil, fmt.Errorf("demo: syscall buf: %w", err)
-					}
-					sc.Bufs = append(sc.Bufs, buf)
-					off += n
-				}
-				d.Syscalls = append(d.Syscalls, sc)
-			}
+			d.Syscalls = c.syscalls([]SyscallRecord{})
 		case secAsync:
-			count, err := uv("async count")
-			if err != nil {
-				return nil, err
-			}
-			d.Asyncs = make([]AsyncEvent, 0, count)
-			for i := uint64(0); i < count; i++ {
-				if off >= len(data) {
-					return nil, fmt.Errorf("%w: async kind", ErrCorrupt)
-				}
-				kind := AsyncKind(data[off])
-				off++
-				tick, err := uv("async tick")
-				if err != nil {
-					return nil, err
-				}
-				tid, err := uv("async tid")
-				if err != nil {
-					return nil, err
-				}
-				d.Asyncs = append(d.Asyncs, AsyncEvent{Kind: kind, Tick: tick, TID: int32(uint32(tid))})
-			}
+			d.Asyncs = c.asyncs([]AsyncEvent{})
 		case secMeta:
-			flags, err := uv("meta flags")
-			if err != nil {
-				return nil, err
-			}
-			d.Truncated = flags&metaTruncated != 0
+			d.Truncated = c.uvarint("meta flags")&metaTruncated != 0
 		case secEnd:
 			return d, nil
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrCorrupt, sec)
 		}
 	}
+	if c.err != nil {
+		return nil, c.err
+	}
 	return nil, fmt.Errorf("%w: missing end marker", ErrCorrupt)
 }
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Size returns the encoded size in bytes, the metric compared against rr's
 // trace sizes in §5.2.

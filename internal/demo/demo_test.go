@@ -213,7 +213,7 @@ func TestReplayerSyscallCursor(t *testing.T) {
 	}
 }
 
-// TestTolerantSyscallDivergence: under a tolerant mode a syscall mismatch
+// TestTolerantSyscallDivergence: under tolerant replay a syscall mismatch
 // is not an error — the replay marks itself diverged, tells the caller to
 // go live, and cuts off every remaining stream.
 func TestTolerantSyscallDivergence(t *testing.T) {
@@ -221,27 +221,32 @@ func TestTolerantSyscallDivergence(t *testing.T) {
 		Syscalls: []SyscallRecord{{TID: 0, Kind: 3, Ret: 1}},
 		Signals:  []SignalEvent{{TID: 0, Tick: 5, Sig: 15}},
 	}
-	rep, err := NewReplayer(d, ReplayTolerant)
+	rep, err := NewReplayer(d, ReplayTolerantRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seen []*DesyncError
+	rep.OnDesync(func(de *DesyncError) { seen = append(seen, de) })
 	if _, replayed, err := rep.NextSyscall(1, 7, 2); err != nil || replayed {
 		t.Fatalf("tolerant mismatch: replayed=%v err=%v", replayed, err)
 	}
-	if !rep.DivergedNow() || rep.Divergence() == nil || rep.Divergence().Tick != 2 {
-		t.Fatalf("divergence not recorded: %+v", rep.Divergence())
+	if !rep.DivergedNow() || len(seen) != 1 || seen[0].Stream != "SYSCALL" || seen[0].Tick != 2 {
+		t.Fatalf("divergence not recorded: %+v", seen)
 	}
 	if sigs := rep.SignalsAt(0, 5); sigs != nil {
 		t.Fatalf("diverged replay still delivered signals: %v", sigs)
 	}
-	oc := rep.Outcome(9)
-	if oc.Err != nil || oc.Diverged == nil || oc.Mode != ReplayTolerant {
+	if _, replayed, err := rep.NextSyscall(0, 3, 3); err != nil || replayed || len(seen) != 1 {
+		t.Fatalf("diverged replay still replays syscalls: replayed=%v err=%v seen=%d", replayed, err, len(seen))
+	}
+	oc := rep.Outcome(9, nil)
+	if oc.Err != nil || oc.Diverged == nil || oc.Diverged.Tick != 2 || oc.SoftDesync {
 		t.Fatalf("tolerant outcome: %+v", oc)
 	}
 	// A strict replayer over the same streams reports leftovers as Err and
 	// never a divergence.
 	strict, _ := NewReplayer(d, ReplayStrict)
-	soc := strict.Outcome(9)
+	soc := strict.Outcome(9, nil)
 	if soc.Err == nil || soc.Diverged != nil {
 		t.Fatalf("strict outcome: %+v", soc)
 	}
@@ -253,15 +258,21 @@ func TestReplayerLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.LeftoverError(10); err == nil {
+	if oc := rep.Outcome(10, nil); oc.Err == nil {
 		t.Error("undelivered signal not reported")
 	}
 	rep2, _ := NewReplayer(d, ReplayStrict)
 	if sigs := rep2.SignalsAt(0, 3); len(sigs) != 1 || sigs[0] != 15 {
 		t.Fatalf("SignalsAt = %v", sigs)
 	}
-	if err := rep2.LeftoverError(10); err != nil {
-		t.Errorf("leftovers after delivery: %v", err)
+	if oc := rep2.Outcome(10, nil); oc.Err != nil {
+		t.Errorf("leftovers after delivery: %v", oc.Err)
+	}
+	// A run that stopped on its own error keeps it: leftovers are expected.
+	rep3, _ := NewReplayer(d, ReplayStrict)
+	stop := errors.New("deadlock")
+	if oc := rep3.Outcome(10, stop); oc.Err != stop {
+		t.Errorf("Outcome replaced the run's error: %v", oc.Err)
 	}
 }
 
@@ -271,13 +282,19 @@ func TestSoftDesyncDetection(t *testing.T) {
 	d := r.Finish(5)
 	rep, _ := NewReplayer(d, ReplayStrict)
 	rep.MixOutput([]byte("hello"))
-	if rep.SoftDesynced() {
+	if rep.Outcome(5, nil).SoftDesync {
 		t.Error("identical output reported as soft desync")
 	}
 	rep2, _ := NewReplayer(d, ReplayStrict)
 	rep2.MixOutput([]byte("world"))
-	if !rep2.SoftDesynced() {
+	if !rep2.Outcome(5, nil).SoftDesync {
 		t.Error("diverged output not reported")
+	}
+	// Under tolerant replay drifting output is the divergence.
+	rep3, _ := NewReplayer(d, ReplayTolerantRecord)
+	rep3.MixOutput([]byte("world"))
+	if oc := rep3.Outcome(5, nil); oc.SoftDesync || oc.Diverged == nil {
+		t.Errorf("tolerant output drift: %+v", oc)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +60,45 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("encoding is not a fixed point")
 		}
 	})
+}
+
+// TestDecodeHugeCountsFailCheaply: two checked-in FuzzDecode seeds are a v1
+// header plus one section whose record count (2^40 signals, 2^26 syscalls)
+// no payload backs. Three more are queue sections whose RLE tick stream
+// claims more ticks than its canonical encoding may stand for (rle's
+// decodeLimit): ~89M ticks in valid runs before a corrupt one (found by
+// fuzzing), the same runs made valid (44M ticks), and one run of 1.5M
+// ticks followed by 20 bytes after the end marker, which must not raise
+// the limit: the demo's canonical re-encoding has no such bytes.
+// No count may size an allocation before the input behind it is checked:
+// all five inputs are ErrCorrupt, for under 1 MB allocated.
+func TestDecodeHugeCountsFailCheaply(t *testing.T) {
+	for _, name := range []string{"v1-signal-count-2e40", "v1-syscall-count-2e26", "v1-queue-rle-huge-run-then-zero",
+		"v1-queue-rle-44M-ticks-in-valid-runs", "v1-queue-run-1500000-then-trailing-bytes"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		quoted, ok := strings.CutPrefix(lines[1], "[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a []byte corpus entry", name)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Decode([]byte(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes, want under 1 MB", name, n)
+		}
+	}
 }
 
 // FuzzRecoverStream: the v2 scan/recover path must never panic or

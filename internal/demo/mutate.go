@@ -1,14 +1,15 @@
 // Demo mutation: the NodeFz-style search move that turns recorded demos
 // into new trial candidates. Each operator takes a Validate-clean demo and
 // produces a Validate-clean neighbour — a candidate schedule that a
-// tolerant replay (ReplayTolerant*) then tests for feasibility. Operators
-// never repair a candidate into plausibility: if the demo offers nothing
-// for the operator to act on (no signals to drop, one thread's schedule to
-// swap), the operator rejects with ErrNotApplicable and the caller tries
-// another. Infeasibility of an applicable mutation is not the operator's
-// problem — the tolerant replayer detects it at the exact tick it bites
-// and falls back to the live strategy there, which is precisely the
-// "mutated schedule may not be achievable" contract this engine relies on.
+// tolerant-record replay (ReplayTolerantRecord) then tests for
+// feasibility. Operators never repair a candidate into plausibility: if
+// the demo offers nothing for the operator to act on (no signals to drop,
+// one thread's schedule to swap), the operator rejects with
+// ErrNotApplicable and the caller tries another. Infeasibility of an
+// applicable mutation is not the operator's problem — the replay policy
+// (Replayer.Desync) detects it at the exact tick it bites and falls back
+// to the live strategy there, which is precisely the "mutated schedule may
+// not be achievable" contract this engine relies on.
 package demo
 
 import (

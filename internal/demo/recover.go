@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-
-	"repro/internal/rle"
 )
 
 // DecodeStream parses a complete v2 streamed container. The file must end
@@ -153,74 +151,14 @@ func parseChunk(data []byte, off int) (typ byte, pay []byte, next int, ok bool) 
 // parseFooter decodes a footer payload: flags byte, uvarint tick, 8-byte
 // output hash, nothing else.
 func parseFooter(pay []byte) (v2Footer, bool) {
-	if len(pay) < 1 {
-		return v2Footer{}, false
+	c := &payCursor{pay: pay}
+	fo := v2Footer{
+		final: c.byteVal("footer flags")&footerFinal != 0,
+		tick:  c.uvarint("footer tick"),
+		hash:  c.fixed64("footer hash"),
 	}
-	tick, n := binary.Uvarint(pay[1:])
-	if n <= 0 || len(pay) != 1+n+8 {
-		return v2Footer{}, false
-	}
-	return v2Footer{
-		final: pay[0]&footerFinal != 0,
-		tick:  tick,
-		hash:  binary.LittleEndian.Uint64(pay[1+n:]),
-	}, true
-}
-
-// payCursor walks one chunk payload. Counts are never pre-allocated from
-// claimed values: every record consumes at least one byte, so a corrupt
-// count runs out of payload instead of forcing a huge allocation.
-type payCursor struct {
-	pay []byte
-	off int
-	err error
-}
-
-func (c *payCursor) uvarint(what string) uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.pay[c.off:])
-	if n <= 0 {
-		c.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *payCursor) byteVal(what string) byte {
-	if c.err != nil {
-		return 0
-	}
-	if c.off >= len(c.pay) {
-		c.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
-		return 0
-	}
-	b := c.pay[c.off]
-	c.off++
-	return b
-}
-
-func (c *payCursor) rleBytes(what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	b, n, err := c.pay[c.off:], 0, error(nil)
-	var out []byte
-	out, n, err = rle.DecodeBytes(b)
-	if err != nil {
-		c.err = fmt.Errorf("%s: %w", what, err)
-		return nil
-	}
-	c.off += n
-	return out
-}
-
-func (c *payCursor) exhausted(what string) {
-	if c.err == nil && c.off != len(c.pay) {
-		c.err = fmt.Errorf("%w: %s has %d trailing payload bytes", ErrCorrupt, what, len(c.pay)-c.off)
-	}
+	c.exhausted("footer")
+	return fo, c.err == nil
 }
 
 // buildV2 reconstructs the demo from every chunk before fo's end.
@@ -250,25 +188,8 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 			if c.err == nil && start != uint64(len(ticks)) {
 				return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, len(ticks))
 			}
-			if c.err == nil {
-				deltas, n, err := rle.DecodeUint64s(pay[c.off:])
-				if err != nil {
-					return nil, fmt.Errorf("demo: queue chunk deltas: %w", err)
-				}
-				c.off += n
-				ticks = append(ticks, deltas...)
-			}
-			nFirsts := c.uvarint("queue chunk first count")
-			for i := uint64(0); i < nFirsts && c.err == nil; i++ {
-				tid := c.uvarint("queue chunk first tid")
-				first := c.uvarint("queue chunk first tick")
-				if c.err == nil {
-					if d.Queue.FirstTick == nil {
-						d.Queue.FirstTick = make(map[int32]uint64)
-					}
-					d.Queue.FirstTick[int32(uint32(tid))] = first
-				}
-			}
+			ticks = append(ticks, c.rleUint64s("queue chunk deltas")...)
+			d.Queue.FirstTick = c.firstTicks(d.Queue.FirstTick)
 			nPatches := c.uvarint("queue chunk patch count")
 			for i := uint64(0); i < nPatches && c.err == nil; i++ {
 				slot := c.uvarint("queue chunk patch slot")
@@ -279,44 +200,9 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 			}
 			c.exhausted("queue chunk")
 		case chunkEvents:
-			nSigs := c.uvarint("events chunk signal count")
-			for i := uint64(0); i < nSigs && c.err == nil; i++ {
-				tid := c.uvarint("signal tid")
-				tick := c.uvarint("signal tick")
-				sig := c.uvarint("signal value")
-				if c.err == nil {
-					d.Signals = append(d.Signals, SignalEvent{TID: int32(uint32(tid)), Tick: tick, Sig: int32(uint32(sig))})
-				}
-			}
-			nAsyncs := c.uvarint("events chunk async count")
-			for i := uint64(0); i < nAsyncs && c.err == nil; i++ {
-				kind := AsyncKind(c.byteVal("async kind"))
-				tick := c.uvarint("async tick")
-				tid := c.uvarint("async tid")
-				if c.err == nil {
-					d.Asyncs = append(d.Asyncs, AsyncEvent{Kind: kind, Tick: tick, TID: int32(uint32(tid))})
-				}
-			}
-			nSys := c.uvarint("events chunk syscall count")
-			for i := uint64(0); i < nSys && c.err == nil; i++ {
-				tid := c.uvarint("syscall tid")
-				kind := c.uvarint("syscall kind")
-				ret := c.uvarint("syscall ret")
-				errno := c.uvarint("syscall errno")
-				nBufs := c.uvarint("syscall buf count")
-				sc := SyscallRecord{
-					TID: int32(uint32(tid)), Kind: uint16(kind),
-					Ret: unzigzag(ret), Errno: int32(uint32(errno)),
-				}
-				for b := uint64(0); b < nBufs && c.err == nil; b++ {
-					if buf := c.rleBytes("syscall buf"); c.err == nil {
-						sc.Bufs = append(sc.Bufs, buf)
-					}
-				}
-				if c.err == nil {
-					d.Syscalls = append(d.Syscalls, sc)
-				}
-			}
+			d.Signals = c.signals(d.Signals)
+			d.Asyncs = c.asyncs(d.Asyncs)
+			d.Syscalls = c.syscalls(d.Syscalls)
 			c.exhausted("events chunk")
 		case chunkFooter:
 			// Earlier footer candidates are just markers; nothing to apply.

@@ -1,14 +1,13 @@
 package demo
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// ReplayMode selects how strictly a Replayer holds the execution to the
-// demo's constraint streams.
+// ReplayMode is a Replayer's policy: what a recorded constraint the run
+// cannot enforce does (Replayer.Desync).
 type ReplayMode uint8
 
 const (
@@ -17,16 +16,14 @@ const (
 	// (*DesyncError). The zero value, so existing call sites keep strict
 	// semantics.
 	ReplayStrict ReplayMode = iota
-	// ReplayTolerant enforces each recorded decision only while it is
-	// feasible (the demanded thread runnable, the demanded syscall issued).
-	// The first infeasible constraint marks the replay diverged: the
-	// remaining streams are abandoned and the live strategy takes over,
-	// surfacing a Diverged outcome instead of a DesyncError.
-	ReplayTolerant
-	// ReplayTolerantRecord is ReplayTolerant with the divergent execution
-	// re-recorded: the caller runs a Recorder alongside the Replayer from
-	// tick 1, so the resulting demo captures the replayed prefix and the
-	// live suffix as one strict-replayable recording.
+	// ReplayTolerantRecord enforces each recorded decision only while it
+	// is feasible (the demanded thread runnable, the demanded syscall
+	// issued). The first infeasible constraint marks the replay diverged:
+	// the remaining streams are abandoned and the live strategy takes
+	// over, surfacing a Diverged outcome instead of a DesyncError. The
+	// caller runs a Recorder alongside the Replayer from tick 1, so the
+	// resulting demo captures the replayed prefix and the live suffix as
+	// one strict-replayable recording.
 	ReplayTolerantRecord
 )
 
@@ -34,8 +31,6 @@ func (m ReplayMode) String() string {
 	switch m {
 	case ReplayStrict:
 		return "strict"
-	case ReplayTolerant:
-		return "tolerant"
 	case ReplayTolerantRecord:
 		return "tolerant-record"
 	default:
@@ -57,17 +52,25 @@ func (d *Diverged) String() string {
 }
 
 // Replayer exposes a Demo's constraint streams as consumable cursors for
-// the scheduler and syscall layer. All methods are safe for concurrent use.
+// the scheduler and syscall layer, and owns the replay policy: every
+// constraint the run cannot enforce is handed to Desync, whose verdict the
+// caller follows. All methods are safe for concurrent use.
 type Replayer struct {
 	mu   sync.Mutex
 	d    *Demo
 	mode ReplayMode
 
-	// div records the first divergence of a tolerant replay; divFlag
-	// mirrors it atomically so the per-tick stream accessors can cut off
-	// without the mutex.
-	div     *Diverged
+	// first is the first constraint handed to Desync. divFlag records that
+	// a tolerant replay diverged there, atomically, so the per-tick stream
+	// accessors can cut off without the mutex. observe, if set, sees first,
+	// called without the mutex held.
+	first   *DesyncError
 	divFlag atomic.Bool
+	observe func(*DesyncError)
+
+	// end is the FinalTick of a Truncated demo, where its replay ends; 0
+	// for a complete demo.
+	end uint64
 
 	// schedule[t] is the thread that must run critical section t
 	// (1-based), reconstructed from the queue stream. Nil for the random
@@ -105,6 +108,9 @@ func NewReplayer(d *Demo, mode ReplayMode) (*Replayer, error) {
 	r := &Replayer{d: d, mode: mode,
 		signalAt: make(map[sigKey][]int32),
 		asyncAt:  make(map[uint64][]AsyncEvent),
+	}
+	if d.Truncated {
+		r.end = d.FinalTick
 	}
 	for _, s := range d.Signals {
 		k := sigKey{s.TID, s.Tick}
@@ -174,38 +180,49 @@ func (r *Replayer) Demo() *Demo { return r.d }
 // Mode returns the replay mode the Replayer was built with.
 func (r *Replayer) Mode() ReplayMode { return r.mode }
 
-// Tolerant reports whether the replayer runs under either tolerant mode.
-func (r *Replayer) Tolerant() bool { return r.mode != ReplayStrict }
-
 // DivergedNow reports whether a tolerant replay has already left the
 // demo's constraints. Lock-free: it runs on every tick and syscall.
 func (r *Replayer) DivergedNow() bool { return r.divFlag.Load() }
 
-// NoteDiverged marks the replay diverged at tick for the given reason.
-// Only the first divergence is kept; later calls are no-ops. From this
-// point every stream accessor returns "nothing recorded", so the live
-// strategy owns the rest of the execution. Panics on a strict replayer —
-// strict replays hard-desync instead of diverging.
-func (r *Replayer) NoteDiverged(tick uint64, reason string) {
-	if r.mode == ReplayStrict {
-		panic("demo: NoteDiverged on a strict replayer")
-	}
+// OnDesync registers fn to see the first constraint the replay cannot
+// enforce, as Desync is handed it: the scheduler traces it there, so it
+// leaves one trace event whichever stream it belongs to. Output drift is
+// not a constraint: Outcome finds it once the run has ended, and it
+// leaves no event.
+func (r *Replayer) OnDesync(fn func(*DesyncError)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.div != nil {
-		return
-	}
-	r.div = &Diverged{Tick: tick, Reason: reason}
-	r.divFlag.Store(true)
+	r.observe = fn
 }
 
-// Divergence returns the first divergence of a tolerant replay, nil while
-// (or if) the replay is still synchronised.
-func (r *Replayer) Divergence() *Diverged {
+// Desync is the replay policy, applied to de, a recorded constraint the
+// run cannot enforce. Strict replay returns de, and the caller stops the
+// run with it. Tolerant-record replay records its first divergence there,
+// abandons the rest of the demo and returns nil, and the caller goes live,
+// as it does for every decision after: from then on every stream accessor
+// returns "nothing recorded".
+func (r *Replayer) Desync(de *DesyncError) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.div
+	first := r.first == nil
+	if first {
+		r.first = de
+		r.divFlag.Store(r.mode != ReplayStrict)
+	}
+	observe := r.observe
+	r.mu.Unlock()
+	if first && observe != nil {
+		observe(de)
+	}
+	if r.mode == ReplayStrict {
+		return de
+	}
+	return nil
 }
+
+// Ended reports whether the replay ends with tick t: a Truncated demo is a
+// prefix of its run, so its replay stops cleanly once FinalTick completes
+// instead of running past the recording into constraints it never held.
+func (r *Replayer) Ended(t uint64) bool { return r.end != 0 && t >= r.end }
 
 // ScheduledAt returns the thread required to run critical section t under
 // the queue strategy, or -1 past the end of the recording (or, in a
@@ -253,56 +270,43 @@ func (r *Replayer) AsyncsAt(tick uint64) []AsyncEvent {
 
 // NextSyscall consumes the next SYSCALL record. The record's issuing thread
 // and kind must match the replaying call; a mismatch, or an exhausted
-// stream, is a hard desynchronisation under strict replay. Under a
-// tolerant mode it instead marks the replay diverged and returns
-// replayed=false, telling the caller to execute the call live (as it does
-// for every call after divergence).
+// stream, goes to Desync, and NextSyscall returns its verdict with
+// replayed=false: the error under strict replay, nil under tolerant replay,
+// telling the caller to execute the call live (as it does for every call
+// after divergence).
 func (r *Replayer) NextSyscall(tid int32, kind uint16, tick uint64) (rec SyscallRecord, replayed bool, err error) {
 	if r.divFlag.Load() {
 		return SyscallRecord{}, false, nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sysCursor >= len(r.d.Syscalls) {
-		if r.mode != ReplayStrict {
-			r.noteDivergedLocked(tick, fmt.Sprintf(
-				"thread %d issued syscall %d past the end of the recorded SYSCALL stream", tid, kind))
-			return SyscallRecord{}, false, nil
-		}
-		return SyscallRecord{}, false, &DesyncError{
-			Stream: "SYSCALL", Tick: tick, TID: tid, Offset: uint64(r.sysCursor),
-			Reason:   fmt.Sprintf("thread %d issued syscall %d but the stream is exhausted", tid, kind),
-			Expected: "end of execution (no further syscalls)",
-			Observed: fmt.Sprintf("thread %d issued syscall %d", tid, kind),
+	if r.sysCursor < len(r.d.Syscalls) {
+		if rec = r.d.Syscalls[r.sysCursor]; rec.TID == tid && rec.Kind == kind {
+			r.sysCursor++
+			r.mu.Unlock()
+			return rec, true, nil
 		}
 	}
-	rec = r.d.Syscalls[r.sysCursor]
-	if rec.TID != tid || rec.Kind != kind {
-		if r.mode != ReplayStrict {
-			r.noteDivergedLocked(tick, fmt.Sprintf(
-				"thread %d issued syscall %d but the recording has thread %d syscall %d",
-				tid, kind, rec.TID, rec.Kind))
-			return SyscallRecord{}, false, nil
-		}
-		return SyscallRecord{}, false, &DesyncError{
-			Stream: "SYSCALL", Tick: tick, TID: tid, Offset: uint64(r.sysCursor),
-			Reason: fmt.Sprintf("thread %d issued syscall %d but the recording has thread %d syscall %d",
-				tid, kind, rec.TID, rec.Kind),
-			Expected: fmt.Sprintf("thread %d syscall %d", rec.TID, rec.Kind),
-			Observed: fmt.Sprintf("thread %d syscall %d", tid, kind),
-		}
-	}
-	r.sysCursor++
-	return rec, true, nil
+	de := r.syscallDesync(tid, kind, tick)
+	r.mu.Unlock()
+	return SyscallRecord{}, false, r.Desync(de)
 }
 
-// noteDivergedLocked is NoteDiverged with r.mu already held.
-func (r *Replayer) noteDivergedLocked(tick uint64, reason string) {
-	if r.div != nil {
-		return
+// syscallDesync describes thread tid issuing syscall kind where the
+// SYSCALL stream's cursor holds another call or the end of the stream.
+func (r *Replayer) syscallDesync(tid int32, kind uint16, tick uint64) *DesyncError {
+	de := &DesyncError{Stream: "SYSCALL", Tick: tick, TID: tid, Offset: uint64(r.sysCursor)}
+	if r.sysCursor < len(r.d.Syscalls) {
+		rec := r.d.Syscalls[r.sysCursor]
+		de.Reason = fmt.Sprintf("thread %d issued syscall %d but the recording has thread %d syscall %d",
+			tid, kind, rec.TID, rec.Kind)
+		de.Expected = fmt.Sprintf("thread %d syscall %d", rec.TID, rec.Kind)
+		de.Observed = fmt.Sprintf("thread %d syscall %d", tid, kind)
+	} else {
+		de.Reason = fmt.Sprintf("thread %d issued syscall %d but the stream is exhausted", tid, kind)
+		de.Expected = "end of execution (no further syscalls)"
+		de.Observed = fmt.Sprintf("thread %d issued syscall %d", tid, kind)
 	}
-	r.div = &Diverged{Tick: tick, Reason: reason}
-	r.divFlag.Store(true)
+	return de
 }
 
 // SyscallCursor returns how many SYSCALL records the replay has consumed
@@ -326,21 +330,16 @@ func (r *Replayer) MixOutput(p []byte) {
 	r.outputHash = mixHash(r.outputHash, p)
 }
 
-// LeftoverError returns a hard-desync error if, at the end of the replay,
-// recorded constraints were never consumed (signals that were never raised
-// or syscalls that were never re-issued), nil otherwise. finalTick is the
-// replay's final tick counter.
-func (r *Replayer) LeftoverError(finalTick uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.signalAt) > 0 {
-		for k := range r.signalAt {
-			return &DesyncError{
-				Stream: "SIGNAL", Tick: finalTick, TID: k.tid, Offset: k.tick,
-				Reason:   fmt.Sprintf("recorded signal for thread %d at tick %d was never delivered", k.tid, k.tick),
-				Expected: fmt.Sprintf("signal delivery to thread %d after its tick %d", k.tid, k.tick),
-				Observed: "the replay finished without re-raising it",
-			}
+// leftoverLocked describes the first recorded constraint the run never
+// consumed (a signal never raised, a syscall never re-issued), nil if
+// there is none. finalTick is the replay's final tick counter.
+func (r *Replayer) leftoverLocked(finalTick uint64) *DesyncError {
+	for k := range r.signalAt {
+		return &DesyncError{
+			Stream: "SIGNAL", Tick: finalTick, TID: k.tid, Offset: k.tick,
+			Reason:   fmt.Sprintf("recorded signal for thread %d at tick %d was never delivered", k.tid, k.tick),
+			Expected: fmt.Sprintf("signal delivery to thread %d after its tick %d", k.tid, k.tick),
+			Observed: "the replay finished without re-raising it",
 		}
 	}
 	if r.sysCursor < len(r.d.Syscalls) {
@@ -382,59 +381,49 @@ func (r *Replayer) Cursors() Cursors {
 	}
 }
 
-// SoftDesynced reports whether the replay's observable output differed from
-// the recording's (soft desynchronisation, §4). Only meaningful after the
-// replay has finished.
-func (r *Replayer) SoftDesynced() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.outputHash != r.d.OutputHash
-}
-
-// Outcome is the coherent end-of-replay summary, folding what used to be
-// separate LeftoverError and SoftDesynced checks into one mode-aware
-// verdict.
+// Outcome is a replay's final verdict.
 type Outcome struct {
-	// Mode is the replay mode the verdict was computed under.
-	Mode ReplayMode
-	// Err is the hard desynchronisation from constraints left unconsumed
-	// at the end of the run. Strict mode only; tolerant modes fold
-	// leftovers into Diverged.
+	// Err is the run's error: the cause it stopped with or, for a strict
+	// replay that completed, the hard desync of recorded constraints it
+	// never consumed.
 	Err error
-	// Diverged is the first point a tolerant replay left the demo's
-	// constraints (an infeasible decision mid-run, leftover constraints at
-	// the end, or — with neither — observable output that drifted from the
-	// recording). Nil when the replay stayed synchronised, and always nil
-	// in strict mode.
+	// Diverged is where a tolerant replay left the demo: its first
+	// infeasible constraint, constraints a completed run left unconsumed,
+	// or — with neither — observable output that drifted from the
+	// recording. Always nil under strict replay.
 	Diverged *Diverged
-	// SoftDesync reports the raw output-hash comparison. In tolerant modes
-	// a diverged execution is expected to produce different output, so
-	// callers treat SoftDesync as a failure only when Diverged is nil.
+	// SoftDesync reports observable output that drifted from the
+	// recording while every hard constraint held (§4). Strict replay only:
+	// a tolerant replay's drift is its divergence.
 	SoftDesync bool
 }
 
-// Outcome computes the replay's end-of-run verdict. finalTick is the
-// scheduler's tick counter at termination. Call it once, after the run
-// has finished.
-func (r *Replayer) Outcome(finalTick uint64) Outcome {
-	oc := Outcome{Mode: r.mode, SoftDesync: r.SoftDesynced()}
-	if r.mode == ReplayStrict {
-		oc.Err = r.LeftoverError(finalTick)
-		return oc
+// Outcome computes the replay's final verdict. finalTick is the
+// scheduler's tick counter at termination and err the cause the run
+// stopped with, nil if it completed. A completed run that left recorded
+// constraints unconsumed hands the first of them to Desync. Call it once,
+// after the run has finished.
+func (r *Replayer) Outcome(finalTick uint64, err error) Outcome {
+	oc := Outcome{Err: err}
+	r.mu.Lock()
+	var left *DesyncError
+	if err == nil && r.first == nil {
+		left = r.leftoverLocked(finalTick)
 	}
-	oc.Diverged = r.Divergence()
-	if oc.Diverged == nil {
-		if lerr := r.LeftoverError(finalTick); lerr != nil {
-			var de *DesyncError
-			reason := lerr.Error()
-			if errors.As(lerr, &de) {
-				reason = de.Reason
-			}
-			oc.Diverged = &Diverged{Tick: finalTick, Reason: reason}
-		} else if oc.SoftDesync {
-			oc.Diverged = &Diverged{Tick: finalTick,
-				Reason: "observable output diverged from the recording"}
-		}
+	r.mu.Unlock()
+	if left != nil {
+		oc.Err = r.Desync(left)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	soft := r.outputHash != r.d.OutputHash
+	switch {
+	case r.mode == ReplayStrict:
+		oc.SoftDesync = soft
+	case r.first != nil:
+		oc.Diverged = &Diverged{Tick: r.first.Tick, Reason: r.first.Reason}
+	case soft:
+		oc.Diverged = &Diverged{Tick: finalTick, Reason: "observable output diverged from the recording"}
 	}
 	return oc
 }

@@ -14,7 +14,8 @@
 //     reader that never sees a patch keeps the slot's 0, which correctly
 //     means "never scheduled again within that shorter prefix".
 //   - events — the SIGNAL/ASYNC/SYSCALL records accumulated since the
-//     previous flush, in the same wire shapes as the v1 sections.
+//     previous flush, written by the record codec the v1 sections use
+//     (codec.go).
 //   - footer — a candidate end-of-recording marker: FinalTick, output
 //     hash, and a "final" flag set only by Close or CloseUnsynced. Every
 //     flush batch ends with one, so any prefix of the file that ends at
@@ -367,14 +368,9 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 
 	st.enc = st.enc[:0]
 	if haveQueue {
-		st.pay = st.pay[:0]
-		st.pay = binary.AppendUvarint(st.pay, qStart)
+		st.pay = binary.AppendUvarint(st.pay[:0], qStart)
 		st.pay = rle.AppendUint64s(st.pay, st.scratchDeltas)
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchFirsts)))
-		for _, fe := range st.scratchFirsts {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(fe.tid)))
-			st.pay = binary.AppendUvarint(st.pay, fe.tick)
-		}
+		st.pay = appendFirsts(st.pay, st.scratchFirsts)
 		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchPatches)))
 		for _, pe := range st.scratchPatches {
 			st.pay = binary.AppendUvarint(st.pay, pe.slot)
@@ -383,30 +379,9 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 		st.enc = appendChunk(st.enc, chunkQueue, st.pay)
 	}
 	if haveEvents {
-		st.pay = st.pay[:0]
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchSigs)))
-		for _, s := range st.scratchSigs {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(s.TID)))
-			st.pay = binary.AppendUvarint(st.pay, s.Tick)
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(s.Sig)))
-		}
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchAsyncs)))
-		for _, a := range st.scratchAsyncs {
-			st.pay = append(st.pay, byte(a.Kind))
-			st.pay = binary.AppendUvarint(st.pay, a.Tick)
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(a.TID)))
-		}
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchSys)))
-		for _, sc := range st.scratchSys {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(sc.TID)))
-			st.pay = binary.AppendUvarint(st.pay, uint64(sc.Kind))
-			st.pay = binary.AppendUvarint(st.pay, zigzag(sc.Ret))
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(sc.Errno)))
-			st.pay = binary.AppendUvarint(st.pay, uint64(len(sc.Bufs)))
-			for _, b := range sc.Bufs {
-				st.pay = rle.AppendBytes(st.pay, b)
-			}
-		}
+		st.pay = appendSignals(st.pay[:0], st.scratchSigs)
+		st.pay = appendAsyncs(st.pay, st.scratchAsyncs)
+		st.pay = appendSyscalls(st.pay, st.scratchSys)
 		st.enc = appendChunk(st.enc, chunkEvents, st.pay)
 	}
 	st.pay = st.pay[:0]

@@ -50,20 +50,28 @@ func countRuns(vals []uint64) int {
 	return runs
 }
 
-// maxExpansion bounds how many decoded items a single encoded byte may
-// claim, and decodeFloor is the decoded-size allowance every stream gets
-// regardless of input size. Together they cap a decoder's total output at
-// max(decodeFloor, maxExpansion*len(src)): legitimate streams sit far
-// below the bound (a 50M-tick single-run demo needs ~763 input bytes to
-// clear it), while a corrupt handful of bytes claiming a multi-GiB run
-// count is rejected before the allocation instead of after.
+// maxExpansion bounds how many decoded items one byte of a stream's
+// canonical encoding may stand for, and decodeFloor is the allowance every
+// stream gets regardless of size. Together they cap a decoder's output at
+// max(decodeFloor, maxExpansion*n) items for an n-byte canonical encoding,
+// and the decoders allocate only once a whole stream has been checked
+// against that cap, so a handful of corrupt bytes claiming a multi-GiB run
+// is rejected without allocating. Recorded streams sit far below the
+// bound, with one exception: a stream of a few runs totalling over 1Mi
+// items (a thread scheduled alone for that many ticks) exceeds it and does
+// not decode.
 const (
-	maxExpansion = 1 << 16
+	maxExpansion = 1 << 12
 	decodeFloor  = 1 << 20
 )
 
-// decodeLimit returns the maximum number of items an input of n bytes may
-// legitimately decode to.
+// decodeLimit returns the maximum number of items a stream may decode to,
+// given the length n of its canonical encoding: the bytes AppendUint64s or
+// AppendBytes would write for the decoded values, with adjacent runs of
+// one value merged. The decoders measure n as they check a stream, and
+// never take it from the input, so bytes the canonical form drops
+// (overlong varints, split runs, whatever follows the stream) cannot raise
+// the limit, and whatever decodes re-encodes to a stream that decodes.
 func decodeLimit(n int) uint64 {
 	if lim := uint64(n) * maxExpansion; lim > decodeFloor {
 		return lim
@@ -71,18 +79,30 @@ func decodeLimit(n int) uint64 {
 	return decodeFloor
 }
 
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // DecodeUint64s decodes a stream produced by AppendUint64s, returning the
-// values and the number of bytes consumed. The cumulative decoded length
-// is bounded by the input size (see decodeLimit), so corrupt run counts
-// cannot force huge allocations.
+// values and the number of bytes consumed. Every run is parsed and the
+// total checked against decodeLimit before the output is allocated, so
+// corrupt run counts cannot force huge allocations and a corrupt stream
+// fails without materialising the runs before its fault.
 func DecodeUint64s(src []byte) ([]uint64, int, error) {
 	runs, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: run count", ErrCorrupt)
 	}
+	// The canonical encoding is never longer than the input, so a total
+	// past the input's limit fails before the stream is read to its end.
 	limit := decodeLimit(len(src))
-	off := n
-	var out []uint64
+	off, total := n, uint64(0)
+	canon, merged := 0, uint64(0)
+	var rv, rn uint64 // the current merged run
 	for r := uint64(0); r < runs; r++ {
 		val, n := binary.Uvarint(src[off:])
 		if n <= 0 {
@@ -97,9 +117,32 @@ func DecodeUint64s(src []byte) ([]uint64, int, error) {
 		if cnt == 0 {
 			return nil, 0, fmt.Errorf("%w: run %d has zero length", ErrCorrupt, r)
 		}
-		if cnt > limit || uint64(len(out))+cnt > limit {
+		if cnt > limit || total+cnt > limit {
 			return nil, 0, fmt.Errorf("%w: run %d claims %d values from %d input bytes", ErrCorrupt, r, cnt, len(src))
 		}
+		total += cnt
+		if rn > 0 && val != rv {
+			canon += uvarintLen(rv) + uvarintLen(rn)
+			merged, rn = merged+1, 0
+		}
+		rv, rn = val, rn+cnt
+	}
+	if rn > 0 {
+		canon += uvarintLen(rv) + uvarintLen(rn)
+		merged++
+	}
+	if canon += uvarintLen(merged); total > decodeLimit(canon) {
+		return nil, 0, fmt.Errorf("%w: %d values from a %d-byte canonical encoding", ErrCorrupt, total, canon)
+	}
+	if total == 0 {
+		return nil, off, nil
+	}
+	out := make([]uint64, 0, total)
+	for p := n; p < off; {
+		val, k := binary.Uvarint(src[p:])
+		p += k
+		cnt, k := binary.Uvarint(src[p:])
+		p += k
 		for i := uint64(0); i < cnt; i++ {
 			out = append(out, val)
 		}
@@ -135,7 +178,8 @@ func AppendBytes(dst, data []byte) []byte {
 }
 
 // DecodeBytes decodes a stream produced by AppendBytes, returning the data
-// and the number of bytes consumed.
+// and the number of bytes consumed. The body is checked in full, and the
+// claimed length against decodeLimit, before the output is allocated.
 func DecodeBytes(src []byte) ([]byte, int, error) {
 	total, n := binary.Uvarint(src)
 	if n <= 0 {
@@ -144,42 +188,72 @@ func DecodeBytes(src []byte) ([]byte, int, error) {
 	if total > decodeLimit(len(src)) {
 		return nil, 0, fmt.Errorf("%w: claimed length %d from %d input bytes", ErrCorrupt, total, len(src))
 	}
-	off := n
-	// Pre-allocate conservatively: the claimed total is attacker
-	// controlled until the body has actually been decoded, so cap the
-	// up-front allocation and let append grow the rest as real data
-	// materialises.
-	prealloc := total
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
+	end, canon, err := scanBytes(src, n, total)
+	if err != nil {
+		return nil, 0, err
 	}
-	out := make([]byte, 0, prealloc)
-	for uint64(len(out)) < total {
-		if off >= len(src) {
-			return nil, 0, fmt.Errorf("%w: truncated body", ErrCorrupt)
-		}
+	if total > decodeLimit(canon) {
+		return nil, 0, fmt.Errorf("%w: length %d from a %d-byte canonical encoding", ErrCorrupt, total, canon)
+	}
+	out := make([]byte, 0, total)
+	for off := n; off < end; {
 		b := src[off]
 		off++
 		if b != 0xFF {
 			out = append(out, b)
 			continue
 		}
-		if off >= len(src) {
-			return nil, 0, fmt.Errorf("%w: truncated escape", ErrCorrupt)
-		}
 		v := src[off]
-		off++
-		cnt, n := binary.Uvarint(src[off:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: escape count", ErrCorrupt)
-		}
-		off += n
-		if cnt == 0 || uint64(len(out))+cnt > total {
-			return nil, 0, fmt.Errorf("%w: escape overruns length", ErrCorrupt)
-		}
+		cnt, k := binary.Uvarint(src[off+1:])
+		off += 1 + k
 		for i := uint64(0); i < cnt; i++ {
 			out = append(out, v)
 		}
 	}
-	return out, off, nil
+	return out, end, nil
+}
+
+// scanBytes checks the AppendBytes body at src[off:] that decodes to total
+// bytes, returning the offset just past it and the length of the stream's
+// canonical encoding.
+func scanBytes(src []byte, off int, total uint64) (end, canon int, err error) {
+	canon = uvarintLen(total)
+	var rv byte   // the current run of one byte value, merged across
+	var rn uint64 // literals and escapes as AppendBytes writes it
+	for got := uint64(0); got < total; {
+		if off >= len(src) {
+			return 0, 0, fmt.Errorf("%w: truncated body", ErrCorrupt)
+		}
+		v, cnt := src[off], uint64(1)
+		off++
+		if v == 0xFF {
+			if off >= len(src) {
+				return 0, 0, fmt.Errorf("%w: truncated escape", ErrCorrupt)
+			}
+			v = src[off]
+			var k int
+			if cnt, k = binary.Uvarint(src[off+1:]); k <= 0 {
+				return 0, 0, fmt.Errorf("%w: escape count", ErrCorrupt)
+			}
+			off += 1 + k
+		}
+		if cnt == 0 || cnt > total-got {
+			return 0, 0, fmt.Errorf("%w: escape overruns length", ErrCorrupt)
+		}
+		got += cnt
+		if rn > 0 && v != rv {
+			canon += byteRunLen(rv, rn)
+			rn = 0
+		}
+		rv, rn = v, rn+cnt
+	}
+	return off, canon + byteRunLen(rv, rn), nil
+}
+
+// byteRunLen is the length of AppendBytes's encoding of a run of n bytes v.
+func byteRunLen(v byte, n uint64) int {
+	if n >= 4 || v == 0xFF {
+		return 2 + uvarintLen(n)
+	}
+	return int(n)
 }

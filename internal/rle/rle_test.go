@@ -3,6 +3,7 @@ package rle
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,8 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		{5, 0xFF},       // truncated escape
 		{5, 0xFF, 1},    // missing count
 		{2, 0xFF, 7, 9}, // escape overruns declared length
+		// An escape count of 2^64-1 must not wrap the overrun check.
+		{2, 'a', 0xFF, 'b', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 'c'},
 	} {
 		if _, _, err := DecodeBytes(bad); err == nil {
 			t.Errorf("DecodeBytes(%v) accepted corrupt input", bad)
@@ -204,5 +207,58 @@ func TestDecodeLargeLegitimateRuns(t *testing.T) {
 	}
 	if len(decB) != len(data) {
 		t.Fatalf("decoded %d bytes, want %d", len(decB), len(data))
+	}
+}
+
+// TestDecodeLimitFollowsCanonicalEncoding: the decode limit comes from the
+// canonical encoding of what a stream decodes to, not from the input, so
+// bytes the canonical form drops cannot admit a stream whose canonical
+// re-encoding would be refused. Each input below decodes past the floor
+// from a canonical encoding of a few bytes, and its own length would have
+// cleared the limit.
+func TestDecodeLimitFollowsCanonicalEncoding(t *testing.T) {
+	over := uint64(decodeFloor + 1)
+	run := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 7), over)
+	split := binary.AppendUvarint(nil, 300) // 300 runs of 7, 1.2M values in all
+	for i := 0; i < 300; i++ {
+		split = binary.AppendUvarint(binary.AppendUvarint(split, 7), 4000)
+	}
+	zeros := append(binary.AppendUvarint(nil, over), 0xFF, 0)
+	zeros = binary.AppendUvarint(zeros, over)
+	splitZeros := binary.AppendUvarint(nil, 300*4000)
+	for i := 0; i < 300; i++ {
+		splitZeros = binary.AppendUvarint(append(splitZeros, 0xFF, 0), 4000)
+	}
+	uints := map[string][]byte{
+		"trailing bytes": append(run, make([]byte, 1024)...),
+		"split runs":     split,
+	}
+	for name, src := range uints {
+		if _, _, err := DecodeUint64s(src); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeUint64s, %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	byteStreams := map[string][]byte{
+		"trailing bytes": append(zeros, make([]byte, 1024)...),
+		"split runs":     splitZeros,
+	}
+	for name, src := range byteStreams {
+		if _, _, err := DecodeBytes(src); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeBytes, %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// Within the limit, a non-canonical stream decodes and so does its
+	// canonical re-encoding.
+	ok := binary.AppendUvarint(nil, 200)
+	for i := 0; i < 200; i++ {
+		ok = binary.AppendUvarint(binary.AppendUvarint(ok, 7), 5000)
+	}
+	vals, _, err := DecodeUint64s(ok)
+	if err != nil {
+		t.Fatalf("split runs within the floor: %v", err)
+	}
+	if _, _, err := DecodeUint64s(AppendUint64s(nil, vals)); err != nil {
+		t.Fatalf("canonical re-encoding: %v", err)
 	}
 }

@@ -43,9 +43,10 @@ const NoTID TID = -1
 // the programs the paper studies).
 var ErrShutdown = errors.New("sched: runtime shut down")
 
-// ErrReplayEnd is the stop cause when a replay reaches Options.StopAtTick:
-// the end of a truncated (crash-recovered) demo. It is a clean stop, not a
-// desynchronisation — the replay was synchronised for every recorded tick.
+// ErrReplayEnd is the stop cause when a replay reaches the end of a
+// truncated demo (a crash-recovered or minimized prefix; see
+// demo.Replayer.Ended). It is a clean stop, not a desynchronisation — the
+// replay was synchronised for every recorded tick.
 var ErrReplayEnd = errors.New("sched: replay reached the end of the recorded prefix")
 
 // Abort is the panic payload used to unwind a thread of the program under
@@ -83,20 +84,16 @@ type Options struct {
 	// Recorder, if non-nil, receives the QUEUE/SIGNAL/ASYNC streams.
 	Recorder *demo.Recorder
 	// Replayer, if non-nil, drives the schedule and event delivery from a
-	// demo. Recorder and Replayer are mutually exclusive, with one
-	// exception: a ReplayTolerantRecord replayer runs alongside a Recorder,
-	// which re-records the whole execution (replayed prefix and divergent
-	// suffix alike) into a new strict-replayable demo.
+	// demo, and its policy decides what a constraint the run cannot
+	// enforce does (demo.Replayer.Desync). Recorder and Replayer are
+	// mutually exclusive, with one exception: a ReplayTolerantRecord
+	// replayer runs alongside a Recorder, which re-records the whole
+	// execution (replayed prefix and divergent suffix alike) into a new
+	// strict-replayable demo.
 	Replayer *demo.Replayer
 	// MaxTicks aborts the execution after this many critical sections
 	// (0 = unlimited).
 	MaxTicks uint64
-	// StopAtTick, if nonzero, stops the execution cleanly with ErrReplayEnd
-	// once that tick completes. Set when replaying a truncated demo (a
-	// crash-recovered prefix): the program would otherwise run past the end
-	// of the recorded streams and hard-desynchronise on the first
-	// unsatisfiable constraint.
-	StopAtTick uint64
 	// MaxThreads, if nonzero, bounds how many threads the program under test
 	// may create; exceeding it stops the execution. It is a pure bound — no
 	// per-thread state is allocated until a thread exists and first parks, so
@@ -243,6 +240,17 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.Metrics != nil {
 		s.decisions = opts.Metrics.Counter("sched.decisions." + opts.Kind.String())
 	}
+	if opts.Replayer != nil && opts.Trace != nil {
+		// Every constraint a replay cannot enforce reaches the
+		// Replayer's policy, so tracing it there leaves one event per
+		// run whichever stream it belongs to.
+		opts.Replayer.OnDesync(func(de *demo.DesyncError) {
+			if s.tr.Enabled() {
+				s.tr.Emit(obs.Event{Tick: de.Tick, TID: de.TID, Kind: obs.KindDesync,
+					Stream: obs.StreamFromName(de.Stream), Offset: de.Offset})
+			}
+		})
+	}
 	s.gapCond = sync.NewCond(&s.mu)
 	switch opts.Kind {
 	case demo.StrategyRandom:
@@ -321,11 +329,6 @@ func (s *Scheduler) failLocked(err error) {
 	}
 	s.stopped = true
 	s.stopErr = err
-	var de *demo.DesyncError
-	if errors.As(err, &de) && s.tr.Enabled() {
-		s.tr.Emit(obs.Event{Tick: de.Tick, TID: de.TID, Kind: obs.KindDesync,
-			Stream: obs.StreamFromName(de.Stream), Offset: de.Offset})
-	}
 	// Stop is the one event that must reach every gate: wake each thread's
 	// private park and any external gap waiters explicitly. A nil gate
 	// belongs to a thread that has never parked, so there is nothing to wake.
@@ -474,9 +477,9 @@ func (s *Scheduler) TickEvent(tid TID, ev obs.Event) uint64 {
 
 	// A truncated demo's recording ends here: stop cleanly before asking
 	// for a scheduling decision the recording cannot answer. Placed after
-	// this tick's replay deliveries so LeftoverError and the soft-desync
-	// hash comparison stay meaningful for the prefix.
-	if s.opts.StopAtTick > 0 && t >= s.opts.StopAtTick {
+	// this tick's replay deliveries so the leftover and soft-desync checks
+	// of the replay's Outcome stay meaningful for the prefix.
+	if rep != nil && rep.Ended(t) {
 		s.failLocked(ErrReplayEnd)
 		s.abortLocked()
 	}
@@ -587,16 +590,14 @@ func (s *Scheduler) advanceLocked() {
 		return
 	}
 	// Queue replay: the demo dictates the thread for the next tick — when
-	// that thread is runnable. The feasibility check below is the relaxed
-	// replay mode's contract: a strict replay hard-desyncs on an
-	// infeasible decision, a tolerant one marks the divergence and falls
-	// through to the live strategy for this and every later tick.
+	// that thread is runnable. An infeasible demand goes to the Replayer's
+	// policy: a strict replay stops, a tolerant one has diverged, and the
+	// live strategy decides this tick and every later one (ScheduledAt
+	// returns -1 from then on, as it does past the end of the recording).
 	if rep := s.opts.Replayer; rep != nil && s.opts.Kind == demo.StrategyQueue {
-		want := rep.ScheduledAt(s.tick + 1)
-		if want >= 0 {
+		if want := rep.ScheduledAt(s.tick + 1); want >= 0 {
 			th := s.threads[want]
-			feasible := !th.done && th.enabled
-			if feasible {
+			if !th.done && th.enabled {
 				s.current = TID(want)
 				s.noteDecisionLocked()
 				s.unparkCurrentLocked()
@@ -606,25 +607,16 @@ func (s *Scheduler) advanceLocked() {
 			if th.done {
 				why = fmt.Sprintf("thread %d has already exited", want)
 			}
-			if rep.Tolerant() {
-				rep.NoteDiverged(s.tick+1, fmt.Sprintf("demanded thread %d not runnable: %s", want, why))
-				if s.tr.Enabled() {
-					s.tr.Emit(obs.Event{Tick: s.tick + 1, TID: want, Kind: obs.KindDesync,
-						Stream: obs.StreamQueue, Offset: s.tick + 1})
-				}
-				// Fall through to the live strategy below.
-			} else {
-				s.failLocked(&demo.DesyncError{
-					Stream: "QUEUE", Tick: s.tick + 1, TID: want, Offset: s.tick + 1,
-					Reason:   fmt.Sprintf("scheduled %s", why),
-					Expected: fmt.Sprintf("thread %d runnable at tick %d", want, s.tick+1),
-					Observed: why,
-				})
+			if err := rep.Desync(&demo.DesyncError{
+				Stream: "QUEUE", Tick: s.tick + 1, TID: want, Offset: s.tick + 1,
+				Reason:   fmt.Sprintf("scheduled %s", why),
+				Expected: fmt.Sprintf("thread %d runnable at tick %d", want, s.tick+1),
+				Observed: why,
+			}); err != nil {
+				s.failLocked(err)
 				return
 			}
 		}
-		// Past the end of the recording (or diverged): fall through to the
-		// live strategy.
 	}
 	next := s.strategy.next(s)
 	if next == NoTID {
