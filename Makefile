@@ -122,13 +122,17 @@ load-smoke:
 	/tmp/netload -replay /tmp/load-smoke.demo2 | tee /tmp/load-smoke-replay.log
 	grep -q 'desync=false' /tmp/load-smoke-replay.log
 
-# fuzz-smoke fuzzes both demo decoders beyond their seed corpora for 30s
-# each: the v1/v2 decoder (FuzzDecode) and the torn-file recovery path
-# (FuzzRecoverStream). A crash fails the target and leaves the input under
-# internal/demo/testdata/fuzz; check it in as a seed once fixed.
+# fuzz-smoke fuzzes every decoder beyond its seed corpus for 30s each: the
+# v1/v2 demo decoder (FuzzDecode), the torn-file recovery path
+# (FuzzRecoverStream), and the RLE streams both containers are built from
+# (FuzzDecodeUint64s, FuzzDecodeBytes). A crash fails the target and leaves
+# the input under the package's testdata/fuzz; check it in as a seed once
+# fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/demo
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverStream$$' -fuzztime 30s ./internal/demo
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUint64s$$' -fuzztime 30s ./internal/rle
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 30s ./internal/rle
 
 bench:
 	$(GO) test -bench=. -benchmem

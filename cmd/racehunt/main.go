@@ -71,7 +71,7 @@ func run(args []string, out, errOut io.Writer) int {
 	verify := fs.Bool("verify", false, "replay each written demo once more and report the result")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the hunt's tail to this path")
 	metricsFlag := fs.Bool("metrics", false, "print the observability metrics table at exit")
-	recordDir := fs.String("record-dir", "", "stream every fresh trial's recording to this directory as it runs (crash insurance; only failing trials' files are kept, sealed)")
+	recordDir := fs.String("record-dir", "", "stream every fresh trial's recording to this directory as it runs (crash insurance from its first 25ms flush on; only failing trials' files are kept, sealed; passing trials shorter than one flush never touch the disk)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

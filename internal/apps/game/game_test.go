@@ -68,7 +68,10 @@ func TestSparseRecordReplayKeepsDisplayLive(t *testing.T) {
 }
 
 // TestFullIoctlRecordingBlindsReplay: recording the driver traffic works
-// but bloats the demo and mocks out the display during replay.
+// but bloats the demo and mocks out the display during replay. The bloat
+// is compared per displayed frame, as §5.4 states it: a session runs for
+// a fixed wall time, so how many frames it renders, and with them the
+// total demo size, varies with the host's load.
 func TestFullIoctlRecordingBlindsReplay(t *testing.T) {
 	cfg := short()
 	sparse := PlayOpts(cfg, DefaultServerConfig(), core.Options{
@@ -83,9 +86,14 @@ func TestFullIoctlRecordingBlindsReplay(t *testing.T) {
 	if full.Err != nil {
 		t.Fatalf("full record: %v", full.Err)
 	}
-	if full.Report.Demo.Size() <= sparse.Report.Demo.Size() {
-		t.Errorf("full-ioctl demo (%d bytes) not larger than sparse (%d bytes)",
-			full.Report.Demo.Size(), sparse.Report.Demo.Size())
+	if sparse.Frames == 0 || full.Frames == 0 {
+		t.Fatalf("no frames displayed while recording: sparse %d, full %d", sparse.Frames, full.Frames)
+	}
+	sparsePer := float64(sparse.Report.Demo.Size()) / float64(sparse.Frames)
+	fullPer := float64(full.Report.Demo.Size()) / float64(full.Frames)
+	t.Logf("sparse %.1f B/frame over %d frames, full %.1f B/frame over %d frames", sparsePer, sparse.Frames, fullPer, full.Frames)
+	if fullPer <= sparsePer {
+		t.Errorf("full-ioctl demo (%.1f B/frame) not larger per frame than sparse (%.1f B/frame)", fullPer, sparsePer)
 	}
 	rep := Replay(cfg, full.Report.Demo, core.PolicyFull)
 	if rep.Err != nil {

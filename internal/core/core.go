@@ -54,9 +54,9 @@ type Report struct {
 	Demo *demo.Demo
 	// DemoPath is the streamed recording's file path (set only with
 	// Options.RecordPath, and empty once Options.RecordDiscardPassing has
-	// deleted a passing run's file). A kept file is complete and sealed
-	// once Run returns; if the process dies mid-run instead, demo.Recover
-	// reconstructs its longest valid prefix.
+	// discarded a passing run's recording). A kept file is complete and
+	// sealed once Run returns; if the process dies mid-run instead,
+	// demo.Recover reconstructs its longest valid prefix.
 	DemoPath string
 	// Leaked counts threads still live when main returned.
 	Leaked int
@@ -376,30 +376,33 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	return rep, err
 }
 
-// finishStream closes the streamed recording and reads it back into
-// rep.Demo, returning err, or the stream's first error if err is nil. The
-// file is sealed and kept at rep.DemoPath unless RecordDiscardPassing
-// applies: a streaming run records and never replays, so err and the
-// races already decide Report.Failed, and a passing run's file is closed
-// unsynced, read back and deleted.
+// finishStream ends the streamed recording and sets rep.Demo, returning
+// err, or the stream's first error if err is nil. The file is sealed and
+// kept at rep.DemoPath unless RecordDiscardPassing applies: a streaming
+// run records and never replays, so err and the races already decide
+// Report.Failed, and a passing run's recording is discarded.
 func (rt *Runtime) finishStream(rep *Report, err error) error {
 	path := rt.rec.StreamPath()
+	tick := rt.sch.TickCount()
 	discard := rt.opts.RecordDiscardPassing && err == nil && len(rep.Races) == 0
-	closeStream := rt.rec.Close
-	if discard {
-		closeStream = rt.rec.CloseUnsynced
-	}
 	var serr error
-	if cerr := closeStream(rt.sch.TickCount()); cerr != nil {
+	if discard {
+		if rep.Demo, serr = rt.rec.Discard(tick); serr != nil {
+			serr = fmt.Errorf("core: closing demo stream: %w", serr)
+		}
+	} else if cerr := rt.rec.Close(tick); cerr != nil {
 		serr = fmt.Errorf("core: closing demo stream: %w", cerr)
 	} else if d, rerr := demo.ReadFile(path); rerr != nil {
 		serr = fmt.Errorf("core: reading back streamed demo: %w", rerr)
 	} else {
 		rep.Demo = d
 	}
-	// A stream error fails the run, so its file is kept; DemoPath names
-	// the file whenever one remains.
-	if !discard || serr != nil || os.Remove(path) != nil {
+	// A stream error fails the run; DemoPath names whatever file it left.
+	if serr != nil {
+		if _, statErr := os.Stat(path); statErr == nil {
+			rep.DemoPath = path
+		}
+	} else if !discard {
 		rep.DemoPath = path
 	}
 	if err == nil {
@@ -430,6 +433,16 @@ func (rt *Runtime) finishObs(rep *Report, start time.Time) {
 		if rep.Demo != nil {
 			for section, size := range rep.Demo.SectionSizes() {
 				rt.mx.Add("demo.bytes."+section, uint64(size))
+			}
+		}
+		if rt.rec != nil && rt.rec.Streaming() {
+			fate := "demo.streams.discarded"
+			if rep.DemoPath != "" {
+				fate = "demo.streams.kept"
+			}
+			rt.mx.Add(fate, 1)
+			if rt.rec.Spilled() {
+				rt.mx.Add("demo.streams.spilled", 1)
 			}
 		}
 	}

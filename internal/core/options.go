@@ -31,15 +31,21 @@ type Options struct {
 	// append-only v2 container at this path as the run executes, instead of
 	// accumulating it in memory for one final write. The recording of a run
 	// that crashes or is killed survives as a replayable prefix, recovered
-	// with demo.Recover. The finished demo is read back into Report.Demo;
-	// a kept file is sealed (fsynced) and Report.DemoPath carries its path.
+	// with demo.Recover. New checks that the path's directory exists and
+	// removes any file already at the path; the file itself is created
+	// when the recording first spills, at its first flush (one
+	// RecordFlushInterval into the run, or at the end of a shorter run
+	// that is kept). The finished demo is set in Report.Demo; a kept file
+	// is sealed (fsynced) and Report.DemoPath carries its path.
 	RecordPath string
 	// RecordDiscardPassing (requires RecordPath) keeps only the streamed
-	// recordings of failing runs (Report.Failed). A passing run's file is
-	// closed without the fsync, read back into Report.Demo and deleted, and
-	// Report.DemoPath stays empty: sealing a file about to be deleted buys
-	// nothing. Crash safety is unchanged — the file is created in New and
-	// flushed on the RecordFlushInterval while the run executes.
+	// recordings of failing runs (Report.Failed), and Report.DemoPath stays
+	// empty for a passing run. A passing run that ended before its first
+	// flush never touches the disk: its demo is decoded from memory. One
+	// that ran longer has spilled to its file, which is closed without the
+	// fsync, read back and deleted: sealing a file about to be deleted buys
+	// nothing. Crash safety is unchanged — the file holds every flush from
+	// the first on while the run executes.
 	RecordDiscardPassing bool
 	// RecordFlushInterval is the streaming writer's background flush period
 	// (0 = 25ms default). Only meaningful with RecordPath; tests shrink it

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/demo"
+	"repro/internal/obs"
 )
 
 // Streaming-record equivalence and crash recovery: record a run through
@@ -330,7 +332,8 @@ func TestStreamFaultsSurfaceInReport(t *testing.T) {
 		discard   bool
 	}{
 		{"sync", errInjected, 0, false, false},
-		// Write 1 is the header, written in New.
+		// Write 1 is the header, written when the first timed flush
+		// spills the recording; write 2 is that flush's batch.
 		{"background-write", nil, 2, true, true},
 	}
 	for _, tc := range cases {
@@ -366,5 +369,165 @@ func TestStreamFaultsSurfaceInReport(t *testing.T) {
 				t.Fatalf("recording not left in place: %v", err)
 			}
 		})
+	}
+}
+
+// streamRun records prog with the stream writer at path under the given
+// keep policy and flush interval. The reschedule watchdog is off, so
+// equal seeds give equal recordings.
+func streamRun(t *testing.T, prog func(rt *Runtime) func(*Thread), path string, discard bool, flush time.Duration, mx *obs.Metrics) *Report {
+	t.Helper()
+	opts := RecordOptions(demo.StrategyRandom, 5, 6)
+	opts.RecordPath = path
+	opts.RecordDiscardPassing = discard
+	opts.RecordFlushInterval = flush
+	opts.RescheduleQuantum = -1
+	opts.Metrics = mx
+	rt := newTestRuntime(t, opts)
+	rep, err := rt.Run(prog(rt))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rep
+}
+
+// waitFor polls cond from inside a running program until it holds or 5s
+// pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("no %s within 5s", what)
+			return
+		}
+	}
+}
+
+// checkStreamCounters compares core's stream fate counters with the
+// expected counts.
+func checkStreamCounters(t *testing.T, mx *obs.Metrics, kept, discarded, spilled uint64) {
+	t.Helper()
+	for name, want := range map[string]uint64{"demo.streams.kept": kept, "demo.streams.discarded": discarded, "demo.streams.spilled": spilled} {
+		if got := mx.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// spillingProgram is guardedProgram with a pause, after its first tick,
+// until a timed flush has spilled the recording to path.
+func spillingProgram(t *testing.T, path string) func(rt *Runtime) func(*Thread) {
+	return func(rt *Runtime) func(*Thread) {
+		body := guardedProgram(rt)
+		return func(main *Thread) {
+			main.NewAtomic64("tick", 0).Add(main, 1, SeqCst)
+			waitFor(t, "spill", func() bool { _, err := os.Stat(path); return err == nil })
+			body(main)
+		}
+	}
+}
+
+// TestShortDiscardedRunNeverTouchesDisk: a passing run that ends before
+// its first timed flush never creates its file, yet its Report.Demo is
+// the demo the same run kept on disk gives.
+func TestShortDiscardedRunNeverTouchesDisk(t *testing.T) {
+	ff := &faultFile{}
+	injectStreamFaults(t, ff)
+	mx := obs.NewMetrics()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.demo2")
+	rep := streamRun(t, guardedProgram, path, true, time.Hour, mx)
+	if ff.StreamFile != nil {
+		t.Fatalf("discarded run created its file: %v", ff.ops)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) || rep.DemoPath != "" {
+		t.Fatalf("discarded run: DemoPath %q, stat %v", rep.DemoPath, err)
+	}
+	checkStreamCounters(t, mx, 0, 1, 0)
+	kept := streamRun(t, guardedProgram, filepath.Join(dir, "kept.demo2"), false, time.Hour, nil)
+	if rep.Demo == nil || !reflect.DeepEqual(rep.Demo, kept.Demo) {
+		t.Fatalf("in-memory discard demo differs from the kept file's:\n got %+v\nwant %+v", rep.Demo, kept.Demo)
+	}
+}
+
+// TestLongRunSpillsRecoverablePrefix: once a run outlives its flush
+// interval its file exists while it still runs, and each timed flush
+// extends the prefix that Recover turns into a Validate-clean truncated
+// demo.
+func TestLongRunSpillsRecoverablePrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.demo2")
+	var mids []*demo.Demo
+	prog := func(rt *Runtime) func(*Thread) {
+		body := guardedProgram(rt)
+		return func(main *Thread) {
+			x := main.NewAtomic64("x", 0)
+			for flush := 0; flush < 2; flush++ {
+				x.Add(main, 1, SeqCst)
+				x.Add(main, 1, SeqCst)
+				ticks := rt.sch.TickCount()
+				waitFor(t, fmt.Sprintf("recoverable prefix of %d ticks", ticks), func() bool {
+					d, err := demo.Recover(path)
+					if err != nil || d.FinalTick < ticks {
+						return false
+					}
+					mids = append(mids, d)
+					return true
+				})
+			}
+			body(main)
+		}
+	}
+	rep := streamRun(t, prog, path, true, time.Millisecond, nil)
+	if len(mids) != 2 {
+		t.Fatalf("recovered %d mid-run prefixes, want 2", len(mids))
+	}
+	for i, d := range mids {
+		if !d.Truncated || d.FinalTick >= rep.Ticks {
+			t.Fatalf("mid-run prefix %d: truncated %v, final tick %d of %d", i, d.Truncated, d.FinalTick, rep.Ticks)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("mid-run prefix %d invalid: %v", i, err)
+		}
+	}
+}
+
+// TestDiscardLeavesNoStaleFile: a discarded run leaves nothing at its
+// path, even when an earlier run left a valid recording there, which
+// would otherwise pass for this run's.
+func TestDiscardLeavesNoStaleFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.demo2")
+	streamRun(t, racyProgram, path, true, time.Hour, nil)
+	if _, err := demo.ReadFile(path); err != nil {
+		t.Fatalf("earlier run's recording: %v", err)
+	}
+	rep := streamRun(t, guardedProgram, path, true, time.Hour, nil)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) || rep.DemoPath != "" {
+		t.Fatalf("stale recording left behind: DemoPath %q, stat %v", rep.DemoPath, err)
+	}
+}
+
+// TestSpilledDiscardIsNotSynced: a discarded run that spilled is closed
+// without a sync and deleted, and its demo is the one the same run kept
+// on disk gives.
+func TestSpilledDiscardIsNotSynced(t *testing.T) {
+	ff := &faultFile{}
+	injectStreamFaults(t, ff)
+	mx := obs.NewMetrics()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.demo2")
+	rep := streamRun(t, spillingProgram(t, path), path, true, time.Millisecond, mx)
+	if ff.StreamFile == nil {
+		t.Fatal("run never spilled")
+	}
+	if syncs, _ := ff.syncs(); syncs != 0 || ff.ops[len(ff.ops)-1] != "close" {
+		t.Fatalf("discarded file synced %d times or left open: %v", syncs, ff.ops)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) || rep.DemoPath != "" {
+		t.Fatalf("discarded run: DemoPath %q, stat %v", rep.DemoPath, err)
+	}
+	checkStreamCounters(t, mx, 0, 1, 1)
+	keptPath := filepath.Join(dir, "kept.demo2")
+	kept := streamRun(t, spillingProgram(t, keptPath), keptPath, false, time.Millisecond, nil)
+	if rep.Demo == nil || !reflect.DeepEqual(rep.Demo, kept.Demo) {
+		t.Fatal("discarded demo differs from the kept file's")
 	}
 }

@@ -17,9 +17,9 @@
 //     previous flush, written by the record codec the v1 sections use
 //     (codec.go).
 //   - footer — a candidate end-of-recording marker: FinalTick, output
-//     hash, and a "final" flag set only by Close or CloseUnsynced. Every
-//     flush batch ends with one, so any prefix of the file that ends at
-//     an intact footer is a complete, replayable recording.
+//     hash, and a "final" flag set only by Close or Discard. Every flush
+//     batch ends with one, so any prefix of the file that ends at an
+//     intact footer is a complete, replayable recording.
 //
 // Consistency: the recorder latches (footer tick, output hash, per-stream
 // counts) under its mutex at every completed tick — NoteSchedule for the
@@ -30,17 +30,32 @@
 // consistent prefix of the execution.
 //
 // The hot path (NoteSchedule/Add*) only appends to in-memory windows; a
-// background goroutine drains the windows into encoded chunks on a timer,
-// double-buffering through reused scratch slices so the steady state
-// allocates nothing. Recovery of torn files is in recover.go.
+// self-re-arming timer drains the windows into encoded chunks every flush
+// interval, double-buffering through reused scratch slices so the steady
+// state allocates nothing.
 //
-//tsanrec:external host-side recording infrastructure: the flusher drains spools on a wall-clock timer outside the controlled scheduler
+// Spilling: the file does not exist until the recording first needs it.
+// The header waits in memory until the first flush — timed, an explicit
+// Flush, or the sealing Close — spills it: that flush creates the file
+// and writes the header, then its batch, and from then on every flush
+// appends as usual, so the bytes on disk do not depend on when the spill
+// happened. A run that ends before its first timed flush and is
+// discarded (Discard) never touches the disk at all: its one final batch
+// is decoded from memory. Crash safety is unchanged by the delay, since
+// a header-only file holds no recoverable prefix. Recovery of torn files
+// is in recover.go.
+//
+//tsanrec:external host-side recording infrastructure: the timed flush drains spools on a wall-clock timer outside the controlled scheduler
 package demo
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -63,21 +78,21 @@ const (
 	v2HeaderLen = len(magic2) + 2 + 16 // magic, version, strategy, two seeds
 )
 
-// defaultFlushInterval is how often the background flusher drains the
-// spool when StreamOptions does not say otherwise. Small enough that a
+// defaultFlushInterval is how often the timed flush drains the spool when
+// StreamOptions does not say otherwise. Small enough that a
 // killed process loses at most a few tens of milliseconds of execution.
 const defaultFlushInterval = 25 * time.Millisecond
 
 // StreamOptions configures a streaming recorder.
 type StreamOptions struct {
-	// FlushInterval is the background flush period (0 = 25ms). Each flush
+	// FlushInterval is the timed flush period (0 = 25ms). Each flush
 	// appends at most one queue chunk, one events chunk and one footer.
 	FlushInterval time.Duration
-	// Fsync syncs the file after every background flush batch, extending
+	// Fsync syncs the file after every non-final flush batch, extending
 	// crash safety from process death to power failure. Off by default:
 	// the page cache survives SIGKILL. Close seals the finished file with
-	// one sync either way; CloseUnsynced, for recordings the caller will
-	// delete, never syncs.
+	// one sync either way; Discard, for recordings the caller does not
+	// keep, never syncs.
 	Fsync bool
 }
 
@@ -89,10 +104,10 @@ type StreamFile interface {
 	Close() error
 }
 
-// WrapStreamFile, when non-nil, wraps every file NewStreamingRecorder
-// opens, before the header is written. It is the stream writer's fault
-// seam: tests set it to count syncs and to inject write and sync errors.
-// Nothing outside tests sets it.
+// WrapStreamFile, when non-nil, wraps every file the recorder creates
+// when it spills, before the header is written. It is the stream writer's
+// fault seam: tests set it to count syncs and files and to inject write
+// and sync errors. Nothing outside tests sets it.
 var WrapStreamFile func(StreamFile) StreamFile
 
 // firstEntry is a spooled QUEUE first-tick record.
@@ -108,13 +123,13 @@ type patchEntry struct {
 }
 
 // streamState is the streaming side of a Recorder. The latched cut state
-// and the spools are guarded by the Recorder's mutex; the scratch and
-// encode buffers belong to whoever is inside flushMu (the background
-// flusher, Flush callers, or Close).
+// and the spools are guarded by the Recorder's mutex; the file, the timer
+// and the scratch and encode buffers belong to whoever is inside flushMu
+// (the timed flush, Flush callers, Close or Discard).
 type streamState struct {
-	f    StreamFile
 	path string
 	opts StreamOptions
+	hdr  []byte // the v2 header, written when the recording spills
 
 	// Latch: the newest point at which the file may be cut and still be
 	// a consistent prefix. Updated under Recorder.mu at every tick.
@@ -135,12 +150,19 @@ type streamState struct {
 	firsts  []firstEntry
 	patches []patchEntry
 
-	// werr is the first write error; once set the flusher has given up
-	// and Close reports it.
+	flushMu sync.Mutex
+	// f is nil until the recording spills.
+	f StreamFile
+	// timer runs the timed flush; it re-arms itself after each one.
+	timer *time.Timer
+	// werr is the first write, sync or spill error. It is sticky: nothing
+	// more is written, and Flush, Close and Discard report it.
 	werr error
+	// ended is set by Close or Discard; closeErr is Close's result.
+	ended    bool
+	closeErr error
 
-	// Flusher-owned double buffers, guarded by flushMu.
-	flushMu        sync.Mutex
+	// Double buffers for cutting and encoding a batch.
 	enc            []byte
 	pay            []byte
 	scratchDeltas  []uint64
@@ -150,50 +172,70 @@ type streamState struct {
 	scratchAsyncs  []AsyncEvent
 	scratchSys     []SyscallRecord
 	lastFooterTick uint64
-
-	quit      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
 }
 
 // NewStreamingRecorder returns a Recorder that spools every stream to an
-// append-only v2 container at path as the run executes. The file is
-// created (truncating any previous content) and a background flusher is
-// started; the caller must Close the recorder to write the final footer.
-// The demo of the finished run is read back with ReadFile; the demo of a
-// crashed run is recovered with Recover.
+// append-only v2 container at path as the run executes. It checks that
+// path's directory exists and removes any file a previous run left at
+// path, but creates the file only when the recording spills, at its first
+// flush; a timed flush runs every FlushInterval from now on. The caller
+// must end the recorder with Close, which writes the final footer and
+// seals the file, or with Discard. The demo of a closed run is read back
+// with ReadFile; the demo of a crashed run is recovered with Recover.
 func NewStreamingRecorder(path string, s Strategy, seed1, seed2 uint64, opts StreamOptions) (*Recorder, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = defaultFlushInterval
 	}
-	osf, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := clearPath(path); err != nil {
 		return nil, err
-	}
-	var f StreamFile = osf
-	if WrapStreamFile != nil {
-		f = WrapStreamFile(f)
 	}
 	hdr := make([]byte, 0, v2HeaderLen)
 	hdr = append(hdr, magic2...)
 	hdr = append(hdr, version2, byte(s))
 	hdr = binary.LittleEndian.AppendUint64(hdr, seed1)
 	hdr = binary.LittleEndian.AppendUint64(hdr, seed2)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
 	r := NewRecorder(s, seed1, seed2)
-	r.stream = &streamState{
-		f:    f,
-		path: path,
-		opts: opts,
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go r.flushLoop()
+	st := &streamState{path: path, opts: opts, hdr: hdr}
+	r.stream = st
+	// Publish the timer under flushMu: its first run, which re-arms it,
+	// takes flushMu before it reads st.timer.
+	st.flushMu.Lock()
+	st.timer = time.AfterFunc(opts.FlushInterval, r.timedFlush)
+	st.flushMu.Unlock()
 	return r, nil
+}
+
+// clearPath checks that path can take a recording: its directory exists
+// and path is not a directory. A file already at path is removed, so a
+// crash before the first spill leaves nothing there rather than an
+// earlier run's recording.
+func clearPath(path string) error {
+	fi, err := os.Lstat(path)
+	switch {
+	case err == nil && fi.IsDir():
+		return fmt.Errorf("demo: stream path %s is a directory", path)
+	case err == nil:
+		return os.Remove(path)
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	_, err = os.Stat(filepath.Dir(path))
+	return err
+}
+
+// spill creates the file and writes the header into it. Caller holds
+// flushMu.
+func (st *streamState) spill() error {
+	osf, err := os.OpenFile(st.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	st.f = osf
+	if WrapStreamFile != nil {
+		st.f = WrapStreamFile(st.f)
+	}
+	_, err = st.f.Write(st.hdr)
+	return err
 }
 
 // Streaming reports whether the recorder spools to disk.
@@ -218,101 +260,161 @@ func (r *Recorder) latchLocked(tick uint64) {
 	st.sysN = st.sysBase + len(r.syscalls)
 }
 
-// flushLoop is the background flusher: drain the spool every interval
-// until Close stops it. A write error is sticky — the loop exits and
-// Close surfaces the error.
-func (r *Recorder) flushLoop() {
+// Spilled reports whether a streaming recorder has created its file.
+func (r *Recorder) Spilled() bool {
 	st := r.stream
-	defer close(st.done)
-	tk := time.NewTicker(st.opts.FlushInterval)
-	defer tk.Stop()
-	for {
-		select {
-		case <-st.quit:
-			return
-		case <-tk.C:
-		}
-		if err := r.flushOnce(false, 0); err != nil {
-			r.mu.Lock()
-			if st.werr == nil {
-				st.werr = err
-			}
-			r.mu.Unlock()
-			return
-		}
+	st.flushMu.Lock()
+	defer st.flushMu.Unlock()
+	return st.f != nil
+}
+
+// timedFlush drains the spool, spilling first if need be, and re-arms
+// the timer. It stops for good once the recorder has ended or a write has
+// failed.
+func (r *Recorder) timedFlush() {
+	st := r.stream
+	st.flushMu.Lock()
+	defer st.flushMu.Unlock()
+	if st.ended || st.werr != nil {
+		return
+	}
+	if r.flushLocked(false, 0) == nil {
+		st.timer.Reset(st.opts.FlushInterval)
 	}
 }
 
 // Flush synchronously drains everything recorded up to the latest
-// completed tick into the file, ending with a footer candidate. Exposed
-// for tests and for callers that want a durable cut at a known point.
+// completed tick into the file, spilling first if need be, and ends with
+// a footer candidate. Exposed for tests and for callers that want a
+// durable cut at a known point.
 func (r *Recorder) Flush() error {
 	st := r.stream
 	if st == nil {
 		return nil
 	}
-	r.mu.Lock()
-	werr := st.werr
-	r.mu.Unlock()
-	if werr != nil {
-		return werr
-	}
-	return r.flushOnce(false, 0)
+	st.flushMu.Lock()
+	defer st.flushMu.Unlock()
+	return r.flushLocked(false, 0)
 }
 
-// Close stops the background flusher, writes the final flush batch (its
-// footer carries finalTick and the final flag), seals the file with one
-// sync and closes it. The recorder must not be used after Close.
-func (r *Recorder) Close(finalTick uint64) error { return r.close(finalTick, true) }
-
-// CloseUnsynced is Close without the sync, for a recording the caller
-// reads back and deletes: the file is complete and replayable, but only
-// the page cache holds it. Whichever of Close and CloseUnsynced runs
-// first decides; a later call returns its result.
-func (r *Recorder) CloseUnsynced(finalTick uint64) error { return r.close(finalTick, false) }
-
-func (r *Recorder) close(finalTick uint64, seal bool) error {
+// Close stops the timed flush, writes the final flush batch (its footer
+// carries finalTick and the final flag), spilling first if the recording
+// never did, seals the file with one sync and closes it. The recorder
+// must not be used after Close; a second Close returns the first one's
+// result.
+func (r *Recorder) Close(finalTick uint64) error {
 	st := r.stream
 	if st == nil {
 		return nil
 	}
-	st.closeOnce.Do(func() {
-		close(st.quit)
-		<-st.done
-		err := r.flushOnce(true, finalTick)
-		r.mu.Lock()
-		if err == nil {
-			err = st.werr
-		}
-		r.mu.Unlock()
-		if seal {
-			if serr := st.f.Sync(); err == nil {
-				err = serr
-			}
-		}
-		if cerr := st.f.Close(); err == nil {
-			err = cerr
-		}
-		st.closeErr = err
-	})
+	st.flushMu.Lock()
+	defer st.flushMu.Unlock()
+	if st.end() {
+		st.closeErr = r.finishLocked(finalTick, true)
+	}
 	return st.closeErr
 }
 
-// flushOnce cuts the spool at the current latch and appends one chunk
-// batch: [queue][events][footer]. The cut itself runs under the
-// recorder's mutex and only copies into reused scratch buffers; encoding
-// and the file write happen outside it.
-func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
+// Discard ends a recording the caller does not keep and returns its demo,
+// the one Close followed by ReadFile would give. A recording that never
+// spilled is decoded from memory and never touches the disk. One that
+// did is finished like Close but without the sync, read back and
+// deleted. On success nothing is left at the path; on error Discard
+// returns no demo and leaves any file that spilled in place. Only
+// streaming recorders have Discard, and they must not be used after it.
+func (r *Recorder) Discard(finalTick uint64) (*Demo, error) {
 	st := r.stream
 	st.flushMu.Lock()
 	defer st.flushMu.Unlock()
+	if !st.end() {
+		return nil, errors.New("demo: Discard of an ended stream recorder")
+	}
+	if st.f == nil && st.werr == nil {
+		// The header and one final batch are the whole recording.
+		st.enc = r.appendBatch(append(st.enc[:0], st.hdr...), true, finalTick)
+		return DecodeStream(st.enc)
+	}
+	if err := r.finishLocked(finalTick, false); err != nil {
+		return nil, err
+	}
+	d, err := ReadFile(st.path)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(st.path); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
 
+// end stops the timed flush and marks the recorder ended, reporting
+// whether it was still running. Caller holds flushMu, so a timed flush
+// that fired concurrently finds ended set and writes nothing.
+func (st *streamState) end() bool {
+	if st.ended {
+		return false
+	}
+	st.ended = true
+	st.timer.Stop()
+	return true
+}
+
+// finishLocked writes the final batch, seals the file with one sync if
+// seal is set, and closes it. Caller holds flushMu.
+func (r *Recorder) finishLocked(finalTick uint64, seal bool) error {
+	st := r.stream
+	err := r.flushLocked(true, finalTick)
+	if st.f == nil {
+		return err
+	}
+	if err == nil && seal {
+		err = st.f.Sync()
+	}
+	if cerr := st.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// flushLocked appends one chunk batch to the file, spilling first if the
+// recording is still in memory. Once a write, sync or spill fails, it
+// writes nothing more and returns that first error. Caller holds flushMu.
+func (r *Recorder) flushLocked(final bool, finalTick uint64) error {
+	st := r.stream
+	if st.werr != nil {
+		return st.werr
+	}
+	enc := r.appendBatch(st.enc[:0], final, finalTick)
+	if enc == nil {
+		return nil // nothing new since the previous footer
+	}
+	st.enc = enc
+	if st.f == nil {
+		st.werr = st.spill()
+	}
+	if st.werr == nil {
+		_, st.werr = st.f.Write(st.enc)
+	}
+	if st.werr == nil && st.opts.Fsync && !final {
+		st.werr = st.f.Sync()
+	}
+	return st.werr
+}
+
+// appendBatch cuts the spool at the current latch and appends one chunk
+// batch, [queue][events][footer], to dst. It returns nil instead when a
+// non-final cut finds nothing new since the previous footer. The cut
+// itself runs under the recorder's mutex and only copies into reused
+// scratch buffers; encoding happens outside it. Caller holds flushMu.
+func (r *Recorder) appendBatch(dst []byte, final bool, finalTick uint64) []byte {
+	st := r.stream
 	r.mu.Lock()
 	ft, fh := st.footTick, st.footHash
 	sigN, asyncN, sysN := st.sigN, st.asyncN, st.sysN
 	if final {
-		// Close flushes everything, not just the latched prefix: no more
-		// events can arrive, so "now" is a consistent cut.
+		// The final cut (Close, Discard) takes everything, not just the
+		// latched prefix: no more events can arrive, so "now" is a
+		// consistent cut.
 		if finalTick > ft {
 			ft = finalTick
 		}
@@ -363,10 +465,10 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 	haveQueue := nd > 0 || len(st.scratchFirsts) > 0 || len(st.scratchPatches) > 0
 	haveEvents := len(st.scratchSigs) > 0 || len(st.scratchAsyncs) > 0 || len(st.scratchSys) > 0
 	if !haveQueue && !haveEvents && ft == st.lastFooterTick && !final {
-		return nil // nothing new since the previous footer
+		return nil
 	}
+	st.lastFooterTick = ft
 
-	st.enc = st.enc[:0]
 	if haveQueue {
 		st.pay = binary.AppendUvarint(st.pay[:0], qStart)
 		st.pay = rle.AppendUint64s(st.pay, st.scratchDeltas)
@@ -376,13 +478,13 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 			st.pay = binary.AppendUvarint(st.pay, pe.slot)
 			st.pay = binary.AppendUvarint(st.pay, pe.delta)
 		}
-		st.enc = appendChunk(st.enc, chunkQueue, st.pay)
+		dst = appendChunk(dst, chunkQueue, st.pay)
 	}
 	if haveEvents {
 		st.pay = appendSignals(st.pay[:0], st.scratchSigs)
 		st.pay = appendAsyncs(st.pay, st.scratchAsyncs)
 		st.pay = appendSyscalls(st.pay, st.scratchSys)
-		st.enc = appendChunk(st.enc, chunkEvents, st.pay)
+		dst = appendChunk(dst, chunkEvents, st.pay)
 	}
 	st.pay = st.pay[:0]
 	var flags byte
@@ -392,16 +494,7 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 	st.pay = append(st.pay, flags)
 	st.pay = binary.AppendUvarint(st.pay, ft)
 	st.pay = binary.LittleEndian.AppendUint64(st.pay, fh)
-	st.enc = appendChunk(st.enc, chunkFooter, st.pay)
-
-	if _, err := st.f.Write(st.enc); err != nil {
-		return err
-	}
-	st.lastFooterTick = ft
-	if st.opts.Fsync && !final {
-		return st.f.Sync()
-	}
-	return nil
+	return appendChunk(dst, chunkFooter, st.pay)
 }
 
 // appendChunk frames one chunk: type byte, uvarint payload length, the

@@ -2,6 +2,7 @@ package demo
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,50 +108,107 @@ func (s syncCounter) Sync() error {
 	return s.StreamFile.Sync()
 }
 
-// TestCloseUnsyncedSkipsOnlyTheSeal: Close seals the file with one sync
-// and CloseUnsynced writes the same bytes without it. StreamOptions.Fsync
-// adds one sync per background flush batch, never a second one at Close.
-func TestCloseUnsyncedSkipsOnlyTheSeal(t *testing.T) {
-	var syncs atomic.Int32
-	WrapStreamFile = func(f StreamFile) StreamFile { return syncCounter{f, &syncs} }
+// TestDiscardSkipsTheSeal: Close seals the file with one sync; Discard
+// returns the demo the sealed file holds without a sync and leaves no
+// file, and a recording that never spilled never creates one.
+// StreamOptions.Fsync adds one sync per non-final flush batch, never one
+// at Close or Discard.
+func TestDiscardSkipsTheSeal(t *testing.T) {
+	var syncs, files atomic.Int32
+	WrapStreamFile = func(f StreamFile) StreamFile {
+		files.Add(1)
+		return syncCounter{f, &syncs}
+	}
 	t.Cleanup(func() { WrapStreamFile = nil })
-	var first []byte
+	var sealed *Demo
 	for _, tc := range []struct {
-		seal, fsync bool
-		want        int32
-	}{{true, false, 1}, {false, false, 0}, {true, true, 2}, {false, true, 1}} {
+		name                 string
+		discard, flush       bool
+		fsync                bool
+		wantSyncs, wantFiles int32
+	}{
+		{"close", false, true, false, 1, 1},
+		{"close/fsync", false, true, true, 2, 1},
+		{"close/unspilled", false, false, false, 1, 1},
+		{"discard", true, true, false, 0, 1},
+		{"discard/fsync", true, true, true, 1, 1},
+		{"discard/unspilled", true, false, false, 0, 0},
+	} {
 		syncs.Store(0)
+		files.Store(0)
 		path := filepath.Join(t.TempDir(), "stream.demo2")
 		r, err := NewStreamingRecorder(path, StrategyQueue, 11, 22, StreamOptions{FlushInterval: time.Hour, Fsync: tc.fsync})
 		if err != nil {
 			t.Fatal(err)
 		}
 		final := feedRecorder(r, 100)
-		if err := r.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		closeStream := r.CloseUnsynced
-		if tc.seal {
-			closeStream = r.Close
-		}
-		if err := closeStream(final); err != nil {
-			t.Fatal(err)
-		}
-		if got := syncs.Load(); got != tc.want {
-			t.Errorf("seal=%v fsync=%v: %d syncs, want %d", tc.seal, tc.fsync, got, tc.want)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = data
-			if _, err := DecodeStream(data); err != nil {
-				t.Fatalf("closed stream does not decode: %v", err)
+		if tc.flush {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
 			}
-		} else if !bytes.Equal(data, first) {
-			t.Errorf("seal=%v fsync=%v: file differs from the sealed one", tc.seal, tc.fsync)
 		}
+		if r.Spilled() != tc.flush {
+			t.Fatalf("%s: Spilled() = %v before the end", tc.name, r.Spilled())
+		}
+		var got *Demo
+		if tc.discard {
+			if got, err = r.Discard(final); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: Discard left the file: %v", tc.name, err)
+			}
+		} else {
+			if err := r.Close(final); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = ReadFile(path); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if n := syncs.Load(); n != tc.wantSyncs {
+			t.Errorf("%s: %d syncs, want %d", tc.name, n, tc.wantSyncs)
+		}
+		if n := files.Load(); n != tc.wantFiles {
+			t.Errorf("%s: %d files created, want %d", tc.name, n, tc.wantFiles)
+		}
+		if sealed == nil {
+			sealed = got
+		} else if !reflect.DeepEqual(got, sealed) {
+			t.Errorf("%s: demo differs from the sealed file's", tc.name)
+		}
+	}
+}
+
+// TestStreamPathChecks: a missing directory or a directory at the path is
+// rejected up front and left as it was; a stale file at the path is
+// removed before the recording starts.
+func TestStreamPathChecks(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewStreamingRecorder(filepath.Join(dir, "missing", "x.demo2"), StrategyQueue, 1, 2, StreamOptions{}); err == nil {
+		t.Error("path in a missing directory accepted")
+	}
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamingRecorder(sub, StrategyQueue, 1, 2, StreamOptions{}); err == nil {
+		t.Error("directory path accepted")
+	}
+	if fi, err := os.Stat(sub); err != nil || !fi.IsDir() {
+		t.Fatalf("directory at the path did not survive: %v", err)
+	}
+	stale := filepath.Join(dir, "stale.demo2")
+	if err := os.WriteFile(stale, []byte(magic2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewStreamingRecorder(stale, StrategyQueue, 1, 2, StreamOptions{FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close(0)
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale file survived the recorder's start: %v", err)
 	}
 }
 

@@ -84,11 +84,15 @@ type Config struct {
 	// RecordDir, when set, streams every fresh trial's recording to
 	// RecordDir/trial%06d.demo2 as the trial executes (core.Options
 	// .RecordPath), so a trial that wedges or crashes the process still
-	// leaves a recoverable prefix behind. Only failing trials keep their
-	// files, sealed (core.Options.RecordDiscardPassing): passing trials'
-	// files are deleted unsynced. Failure.DemoPath reports the file of
-	// each signature's representative trial; duplicates' files stay in
-	// the directory unreported. Mutated trials record in memory only
+	// leaves a recoverable prefix behind once it has run for one flush
+	// interval (25ms). Only failing trials keep their files, sealed
+	// (core.Options.RecordDiscardPassing): a passing trial that ends
+	// before its first flush never creates its file, and a longer one's
+	// file is deleted unsynced. The metrics counters demo.streams.kept,
+	// demo.streams.discarded and demo.streams.spilled count these fates.
+	// Failure.DemoPath reports the file of each signature's
+	// representative trial; duplicates' files stay in the directory
+	// unreported. Mutated trials record in memory only
 	// (their recorder is the tolerant replayer's). The directory must
 	// exist.
 	RecordDir string

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/demo"
+	"repro/internal/obs"
 )
 
 // The needle program (internal/apps/litmus, Extras) stages two races: a
@@ -262,5 +263,40 @@ func TestRecordDirMatchesInMemorySweep(t *testing.T) {
 		if sig := replaySignature(&cfg, d); sig != rec.Outcomes[idx].Signature {
 			t.Errorf("%s strict-replays to %q, want %q", name, sig, rec.Outcomes[idx].Signature)
 		}
+	}
+}
+
+// TestRecordDirStreamCounters: the stream writer's counters account for
+// every streamed trial. Kept recordings are exactly the files left in the
+// record directory, kept plus discarded are the fresh trials (mutated
+// trials record in memory), and every kept recording spilled to disk.
+func TestRecordDirStreamCounters(t *testing.T) {
+	src, err := NewWeightedSource([]TrialSource{needleRotation(), &MutationQueue{Seed: needleMQSeed}}, []int{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mx := obs.NewMetrics()
+	res, err := Run(Config{Program: testProgram(t, "needle"), Trials: 200, Workers: 2,
+		RescheduleQuantum: -1, Source: src, RecordDir: dir, Metrics: mx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := mx.CounterValue("demo.streams.kept")
+	discarded := mx.CounterValue("demo.streams.discarded")
+	spilled := mx.CounterValue("demo.streams.spilled")
+	t.Logf("%d trials, %d mutants: %d kept, %d discarded, %d spilled", res.Trials, res.Mutants, kept, discarded, spilled)
+	if kept == 0 || kept != uint64(len(entries)) {
+		t.Errorf("demo.streams.kept = %d, record dir holds %d files", kept, len(entries))
+	}
+	if kept+discarded != uint64(res.Trials-res.Mutants) {
+		t.Errorf("kept %d + discarded %d != %d fresh trials", kept, discarded, res.Trials-res.Mutants)
+	}
+	if kept > spilled {
+		t.Errorf("demo.streams.kept = %d > demo.streams.spilled = %d", kept, spilled)
 	}
 }
