@@ -56,6 +56,7 @@ func RunScenario(cfg Config, spec LoadSpec, mode string, seed uint64, reportRace
 	opts.Trace, opts.Metrics = cfg.Trace, cfg.Metrics
 	rt, err := core.New(opts)
 	if err != nil {
+		world.Shutdown() // Run never will: stop the virtual-time advancer
 		return Outcome{Err: err}
 	}
 

@@ -2,6 +2,7 @@ package netload
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -87,5 +88,22 @@ func TestScenarioStreamedRecordThenReplay(t *testing.T) {
 	}
 	if rep.Races() != rec.Races() {
 		t.Errorf("replay races %d != recorded %d", rep.Races(), rec.Races())
+	}
+}
+
+// A scenario whose recording cannot be opened must still shut its world
+// down, or the virtual-time advancer outlives it.
+func TestFailedScenarioLeaksNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	path := filepath.Join(t.TempDir(), "missing", "netload.demo2")
+	if out := RunScenario(small(), smallSpec(5), "queue+rec", 1, false, path); out.Err == nil {
+		t.Fatal("recording into a missing directory succeeded")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed scenario, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -51,9 +51,11 @@ func (h *vtimerHeap) Pop() interface{} {
 }
 
 // EnableVirtualTime switches the world's clock to virtual time and starts
-// the background advancer, which checks for quiescence every checkEvery
-// (0 = 100µs default). Idempotent; the advancer exits at Interrupt or
-// Shutdown.
+// the background advancer, which jumps the clock once the world has been
+// untouched for checkEvery of wall-clock time (0 = 100µs default) while a
+// timer is pending. With no timer pending the advancer parks until
+// SleepVirtual pushes one, so an idle world costs no wakeups. Idempotent;
+// the advancer exits at Interrupt or Shutdown.
 func (w *World) EnableVirtualTime(checkEvery time.Duration) {
 	w.mu.Lock()
 	if w.vtOn {
@@ -61,6 +63,7 @@ func (w *World) EnableVirtualTime(checkEvery time.Duration) {
 		return
 	}
 	w.vtOn = true
+	w.vtKick = make(chan struct{}, 1)
 	w.mu.Unlock()
 	if checkEvery <= 0 {
 		checkEvery = 100 * time.Microsecond
@@ -92,6 +95,13 @@ func (w *World) SleepVirtual(d time.Duration) error {
 	if w.closed || w.interrupted {
 		w.mu.Unlock()
 		return ErrWorldClosed
+	}
+	if len(w.vtimers) == 0 {
+		// The advancer parks while no timer is pending: wake it.
+		select {
+		case w.vtKick <- struct{}{}:
+		default:
+		}
 	}
 	ch := make(chan struct{})
 	w.vtSeq++
@@ -140,42 +150,59 @@ func (w *World) fireDueLocked(upto int64) {
 	}
 }
 
-// advanceVirtual is the quiescence advancer: when a full check interval
-// passes with no world-state mutation (actGen unchanged) and timers are
-// pending, the virtual clock jumps to the earliest deadline and fires the
-// batch within vtBatchNanos of it. Program threads running pure compute
-// don't hold the clock back (they don't mutate the world), which is the
-// same arrival-vs-compute nondeterminism a real environment has — and the
-// recording captures whichever interleaving happened.
+// The advancer samples actGen vtPollsPerInterval times per quiet interval
+// while a timer is pending, but never waits longer than vtMaxNap between
+// samples, so it notices Interrupt or Shutdown within a millisecond
+// whatever the interval.
+const (
+	vtPollsPerInterval = 4
+	vtMaxNap           = time.Millisecond
+)
+
+// advanceVirtual is the quiescence advancer. While no timer is pending it
+// parks on vtKick, which SleepVirtual signals when it pushes the first
+// one. Otherwise it samples actGen after each short wait (vtNap: nanosleep
+// on Linux, whose netpoller would stretch a runtime timer under 1ms to a
+// whole millisecond) and, once time.Now() shows it unchanged for a whole
+// interval of wall-clock time, jumps the clock to the earliest deadline
+// and fires the batch within vtBatchNanos of it. The quiet interval starts
+// when the advancer first sees the current generation, never earlier, so
+// the world has been untouched for at least one interval at every jump.
+// Program threads running pure compute don't hold the clock back (they
+// don't mutate the world), which is the same arrival-vs-compute
+// nondeterminism a real environment has — and the recording captures
+// whichever interleaving happened.
 func (w *World) advanceVirtual(every time.Duration) {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
+	nap := min(every/vtPollsPerInterval, vtMaxNap)
 	var lastGen uint64
-	first := true
+	var quietSince time.Time // zero: the quiet interval starts at the next sample
 	for {
-		select {
-		case <-w.stopCh:
-			return
-		case <-tick.C:
-		}
 		w.mu.Lock()
 		if w.closed || w.interrupted {
 			w.mu.Unlock()
 			return
 		}
-		if first || w.actGen != lastGen || len(w.vtimers) == 0 {
-			first = false
-			lastGen = w.actGen
+		if len(w.vtimers) == 0 {
 			w.mu.Unlock()
+			select {
+			case <-w.stopCh:
+				return
+			case <-w.vtKick:
+			}
+			quietSince = time.Time{}
 			continue
 		}
-		base := w.vtimers[0].at
-		if base < w.vnow {
-			base = w.vnow
+		now := time.Now()
+		switch {
+		case quietSince.IsZero() || w.actGen != lastGen:
+			lastGen, quietSince = w.actGen, now
+		case now.Sub(quietSince) >= every:
+			base := max(w.vtimers[0].at, w.vnow)
+			w.vnow = base
+			w.fireDueLocked(base + vtBatchNanos)
+			lastGen, quietSince = w.actGen, now
 		}
-		w.vnow = base
-		w.fireDueLocked(base + vtBatchNanos)
-		lastGen = w.actGen
 		w.mu.Unlock()
+		vtNap(nap)
 	}
 }

@@ -1,6 +1,9 @@
 package env
 
 import (
+	"bytes"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -107,5 +110,134 @@ func TestVirtualTimeOffIsRealSleep(t *testing.T) {
 	}
 	if w.VirtualNow() != 0 {
 		t.Fatal("virtual clock moved while off")
+	}
+}
+
+// A quiet world wakes a sleeper about one check interval after it parks:
+// the advancer must not wait out the Go runtime's millisecond timer
+// granularity on top of the default 100µs interval.
+func TestQuietWorldWakesWithinInterval(t *testing.T) {
+	w := NewWorld(1)
+	defer w.Shutdown()
+	w.EnableVirtualTime(0)
+
+	waits := make([]time.Duration, 200)
+	for i := range waits {
+		t0 := time.Now()
+		if err := w.SleepVirtual(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		waits[i] = time.Since(t0)
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if med := waits[len(waits)/2]; med >= 500*time.Microsecond {
+		t.Fatalf("median wake %v on a quiet world at the default interval, want < 500µs", med)
+	}
+}
+
+// A world mutated every few microseconds holds its clock, however long
+// the activity lasts, and advances about one interval after it stops. The
+// interval is wide so a descheduled mutator cannot fake a quiet period.
+func TestBusyWorldHoldsVirtualClock(t *testing.T) {
+	const every = 20 * time.Millisecond
+	w := NewWorld(1)
+	defer w.Shutdown()
+	w.EnableVirtualTime(every)
+
+	stop := make(chan struct{})
+	lastBump := make(chan time.Time, 1)
+	go func() {
+		for {
+			w.mu.Lock()
+			w.bumpLocked()
+			last := time.Now()
+			w.mu.Unlock()
+			select {
+			case <-stop:
+				lastBump <- last
+				return
+			default:
+			}
+			for time.Since(last) < 5*time.Microsecond {
+			}
+		}
+	}()
+	woke := make(chan time.Time, 1)
+	go func() {
+		if err := w.SleepVirtual(time.Minute); err != nil {
+			t.Error(err)
+		}
+		woke <- time.Now()
+	}()
+	for w.PendingVirtualTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	select {
+	case <-woke:
+		t.Fatal("the clock advanced while the world was being mutated")
+	case <-time.After(5 * every):
+	}
+	if now := w.VirtualNow(); now != 0 {
+		t.Fatalf("virtual clock moved to %d while the world was being mutated", now)
+	}
+	close(stop)
+	last := <-lastBump
+	select {
+	case at := <-woke:
+		if quiet := at.Sub(last); quiet < every || quiet > 10*every {
+			t.Fatalf("woke %v after the last mutation, want one %v interval", quiet, every)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the clock never advanced after the mutations stopped")
+	}
+}
+
+// advancers counts the goroutines running a world's advancer.
+func advancers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte(".(*World).advanceVirtual("))
+}
+
+func waitAdvancers(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for advancers() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d advancer goroutines, want %d", advancers(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// The advancer exits at Shutdown and at Interrupt, whether it is parked
+// with no timer pending or polling a pending one.
+func TestAdvancerExitsAtStop(t *testing.T) {
+	stops := map[string]func(*World){"Shutdown": (*World).Shutdown, "Interrupt": (*World).Interrupt}
+	for name, stopWorld := range stops {
+		for _, polling := range []bool{false, true} {
+			waitAdvancers(t, 0)
+			w := NewWorld(1)
+			// An hour-long interval never elapses: a pending timer keeps
+			// the advancer polling until the world stops.
+			w.EnableVirtualTime(time.Hour)
+			waitAdvancers(t, 1)
+			slept := make(chan error, 1)
+			if polling {
+				go func() { slept <- w.SleepVirtual(time.Second) }()
+				for w.PendingVirtualTimers() == 0 && len(slept) == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			stopWorld(w)
+			waitAdvancers(t, 0)
+			if polling {
+				if err := <-slept; err != ErrWorldClosed {
+					t.Fatalf("%s: sleeper got %v, want ErrWorldClosed", name, err)
+				}
+			}
+			w.Shutdown()
+		}
 	}
 }

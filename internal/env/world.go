@@ -47,10 +47,13 @@ type World struct {
 	// Virtual time (vtime.go). When vtOn, ClockNanos returns vnow — virtual
 	// nanoseconds since World creation — which advances only when timers
 	// fire, so hours of modelled traffic replay in wall-clock seconds.
+	// vtKick wakes the advancer, which parks on it while no timer is
+	// pending.
 	vtOn    bool
 	vnow    int64
 	vtSeq   uint64
 	vtimers vtimerHeap
+	vtKick  chan struct{}
 
 	// stopCh is closed (once) by Interrupt/Shutdown so channel-based
 	// waiters (virtual-time sleepers) unblock without polling a flag.

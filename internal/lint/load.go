@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -227,7 +228,17 @@ func (p *Program) loadImportPath(importPath string) (*Package, error) {
 
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && goSourceName(e.Name()) {
+		if e.IsDir() || !goSourceName(e.Name()) {
+			continue
+		}
+		// Only the files the go tool compiles on this platform: file-name
+		// suffixes and //go:build lines select them.
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			delete(p.byPath, importPath)
+			return nil, err
+		}
+		if ok {
 			names = append(names, e.Name())
 		}
 	}
