@@ -95,8 +95,11 @@ func TestSignalWakeupEventRecorded(t *testing.T) {
 					mu.Unlock(o)
 				})
 				<-blocked
-				for i := 0; i < 30; i++ {
-					main.Yield() // let the owner reach the blocked state
+				// Let the owner block on mu. Its state is read inside one
+				// of main's critical sections, where it changes only with
+				// the schedule, so record and replay yield alike.
+				for !ownerBlocked(main, h.TID()) {
+					main.Yield()
 				}
 				rt.World().Kill(12)
 				// Wait for the handler, then release the lock so the
@@ -130,7 +133,25 @@ func TestSignalWakeupEventRecorded(t *testing.T) {
 		if string(rep.Output) != string(rec.Output) {
 			t.Errorf("seed %d: output mismatch", seed)
 		}
+		if left := rt2.rep.Cursors().AsyncsLeft; left != 0 {
+			t.Errorf("seed %d: replay left %d ASYNC entries unconsumed (asyncs: %v, final tick %d)",
+				seed, left, rec.Demo.Asyncs, rec.Demo.FinalTick)
+		}
 	}
+}
+
+// ownerBlocked reports, from inside one of main's critical sections,
+// whether thread tid is disabled waiting on a mutex.
+func ownerBlocked(main *Thread, tid TID) bool {
+	blocked := false
+	main.critical(func() {
+		for _, s := range main.rt.sch.ThreadStates() {
+			if s.TID == tid {
+				blocked = !s.Enabled && !s.Done && strings.HasPrefix(s.Blocked, "waiting on mutex")
+			}
+		}
+	})
+	return blocked
 }
 
 // TestUnhandledSignalIgnored: signals with no installed handler are

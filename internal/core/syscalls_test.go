@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -268,5 +269,58 @@ func TestDatagramRecordReplay(t *testing.T) {
 	}
 	if string(rep.Output) != string(rec.Output) {
 		t.Errorf("replay %q != %q", rep.Output, rec.Output)
+	}
+}
+
+// TestSyscallMarginalAllocs counts what one more syscall allocates: bodies
+// of n and 2n ClockGettime calls run under queue+rec and are then
+// replayed, and the Mallocs deltas of the two sizes are compared, so the
+// runs' fixed costs cancel. A replayed call is served from the SYSCALL
+// stream and allocates nothing; a recorded call allocates at most its
+// result buffer and the slice that holds it.
+func TestSyscallMarginalAllocs(t *testing.T) {
+	const n = 2000
+	body := func(calls int) func(*Thread) {
+		return func(main *Thread) {
+			for i := 0; i < calls; i++ {
+				main.ClockGettime()
+			}
+		}
+	}
+	mallocs := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var recorded, replayed [2]uint64
+	for i, calls := range []int{n, 2 * n} {
+		var rec *Report
+		recorded[i] = mallocs(func() {
+			rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2, Record: true})
+			var err error
+			if rec, err = rt.Run(body(calls)); err != nil {
+				t.Fatalf("record %d calls: %v", calls, err)
+			}
+		})
+		if got := len(rec.Demo.Syscalls); got != calls {
+			t.Fatalf("recorded %d syscalls, want %d", got, calls)
+		}
+		replayed[i] = mallocs(func() {
+			rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: rec.Demo})
+			if _, err := rt.Run(body(calls)); err != nil {
+				t.Fatalf("replay %d calls: %v", calls, err)
+			}
+		})
+	}
+	perCall := func(m [2]uint64) float64 { return (float64(m[1]) - float64(m[0])) / n }
+	t.Logf("marginal mallocs per call: recorded %.2f, replayed %.2f", perCall(recorded), perCall(replayed))
+	if got := perCall(replayed); got > 0.1 {
+		t.Errorf("a replayed syscall allocates %.2f times, want 0", got)
+	}
+	if got := perCall(recorded); got > 2.1 {
+		t.Errorf("a recorded syscall allocates %.2f times, want at most 2", got)
 	}
 }

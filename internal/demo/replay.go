@@ -1,7 +1,9 @@
 package demo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -77,26 +79,110 @@ type Replayer struct {
 	// strategy, whose schedule is re-derived from the seeds.
 	schedule []int32
 
-	signalAt   map[sigKey][]int32
-	asyncAt    map[uint64][]AsyncEvent
+	// signals and asyncs hold the SIGNAL and ASYNC streams in tick order.
+	signals    tickSlots[int32]
+	asyncs     tickSlots[AsyncEvent]
 	sysCursor  int
 	outputHash uint64
 	// hashInited mirrors the Recorder's explicit hash-state tracking: a
 	// mid-stream FNV state of 0 must not be mistaken for "no output yet".
 	hashInited bool
-
-	// sigsLeft and asyncsLeft count the unconsumed entries of the SIGNAL
-	// and ASYNC streams. SignalsAt/AsyncsAt run on every Tick of a replay,
-	// and for any workload without signals the streams are empty (or drain
-	// early): the counters let those calls return without the mutex or the
-	// map lookups.
-	sigsLeft   atomic.Int64
-	asyncsLeft atomic.Int64
 }
 
-type sigKey struct {
+// tickKey is the key a SIGNAL entry is consumed by: the thread and the
+// value of its preceding Tick. ASYNC entries are keyed by tick alone (tid
+// 0).
+type tickKey struct {
 	tid  int32
 	tick uint64
+}
+
+func (a tickKey) compare(b tickKey) int {
+	if c := cmp.Compare(a.tick, b.tick); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tid, b.tid)
+}
+
+// tickSlots holds one keyed stream (SIGNAL or ASYNC), its entries grouped
+// into one slot per key and the slots ordered by (tick, tid) once, when
+// the Replayer is built. head is the first slot not yet consumed and next
+// its tick, the stream's watermark: SignalsAt and AsyncsAt run on every
+// Tick of a replay, and below next they return without the mutex or a
+// lookup. next only rises, so a stale read of it is still a lower bound.
+// Consuming a slot moves head past every consumed slot, so the watermark
+// advances without rescanning. A slot the run never consumes (a missed
+// entry) pins head, and later ticks take the locked path. Every field but
+// next is guarded by the Replayer's mu.
+type tickSlots[T any] struct {
+	vals  []T // the entries, in slot order
+	slots []tickSlot
+	head  int
+	left  int // unconsumed entries
+	next  atomic.Uint64
+}
+
+// tickSlot is the run of vals[lo:hi] recorded under key.
+type tickSlot struct {
+	key    tickKey
+	lo, hi int
+	done   bool
+}
+
+// noTick is the watermark of a drained stream.
+const noTick = ^uint64(0)
+
+// fillTickSlots fills s with entries ordered by key, keeping their recorded
+// order within a key, and groups them into slots.
+func fillTickSlots[E, T any](s *tickSlots[T], entries []E, key func(E) tickKey, val func(E) T) {
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b E) int { return key(a).compare(key(b)) })
+	s.vals, s.left = make([]T, len(sorted)), len(sorted)
+	for i, e := range sorted {
+		s.vals[i] = val(e)
+		if k := key(e); i == 0 || k != s.slots[len(s.slots)-1].key {
+			s.slots = append(s.slots, tickSlot{key: k, lo: i})
+		}
+		s.slots[len(s.slots)-1].hi = i + 1
+	}
+	s.setNext()
+}
+
+func (s *tickSlots[T]) setNext() {
+	if s.head < len(s.slots) {
+		s.next.Store(s.slots[s.head].key.tick)
+	} else {
+		s.next.Store(noTick)
+	}
+}
+
+// below reports, without the lock, that no entry is left at tick.
+func (s *tickSlots[T]) below(tick uint64) bool { return tick < s.next.Load() }
+
+// takeLocked consumes and returns the entries recorded under k.
+func (s *tickSlots[T]) takeLocked(k tickKey) []T {
+	i, found := slices.BinarySearchFunc(s.slots, k, func(sl tickSlot, k tickKey) int {
+		return sl.key.compare(k)
+	})
+	if !found || s.slots[i].done {
+		return nil
+	}
+	sl := &s.slots[i]
+	sl.done = true
+	s.left -= sl.hi - sl.lo
+	for s.head < len(s.slots) && s.slots[s.head].done {
+		s.head++
+	}
+	s.setNext()
+	return s.vals[sl.lo:sl.hi:sl.hi]
+}
+
+// firstLeftLocked returns the key of the earliest slot not yet consumed.
+func (s *tickSlots[T]) firstLeftLocked() (tickKey, bool) {
+	if s.head < len(s.slots) {
+		return s.slots[s.head].key, true
+	}
+	return tickKey{}, false
 }
 
 // NewReplayer builds a Replayer for d running under the given mode. It
@@ -105,22 +191,16 @@ func NewReplayer(d *Demo, mode ReplayMode) (*Replayer, error) {
 	if mode > ReplayTolerantRecord {
 		return nil, fmt.Errorf("demo: unknown replay mode %d", uint8(mode))
 	}
-	r := &Replayer{d: d, mode: mode,
-		signalAt: make(map[sigKey][]int32),
-		asyncAt:  make(map[uint64][]AsyncEvent),
-	}
+	r := &Replayer{d: d, mode: mode}
+	fillTickSlots(&r.signals, d.Signals,
+		func(e SignalEvent) tickKey { return tickKey{e.TID, e.Tick} },
+		func(e SignalEvent) int32 { return e.Sig })
+	fillTickSlots(&r.asyncs, d.Asyncs,
+		func(e AsyncEvent) tickKey { return tickKey{tick: e.Tick} },
+		func(e AsyncEvent) AsyncEvent { return e })
 	if d.Truncated {
 		r.end = d.FinalTick
 	}
-	for _, s := range d.Signals {
-		k := sigKey{s.TID, s.Tick}
-		r.signalAt[k] = append(r.signalAt[k], s.Sig)
-	}
-	for _, a := range d.Asyncs {
-		r.asyncAt[a.Tick] = append(r.asyncAt[a.Tick], a)
-	}
-	r.sigsLeft.Store(int64(len(d.Signals)))
-	r.asyncsLeft.Store(int64(len(d.Asyncs)))
 	if d.Strategy == StrategyQueue {
 		schedule, err := d.queueSchedule()
 		if err != nil {
@@ -235,37 +315,28 @@ func (r *Replayer) ScheduledAt(t uint64) int32 {
 }
 
 // SignalsAt consumes and returns the signals recorded for thread tid whose
-// preceding Tick had value tick.
+// preceding Tick had value tick, in recorded order.
 func (r *Replayer) SignalsAt(tid int32, tick uint64) []int32 {
-	if r.sigsLeft.Load() == 0 || r.divFlag.Load() {
-		// Empty or drained stream (or a diverged tolerant replay, whose
-		// remaining constraints are abandoned): skip the lock.
+	if r.signals.below(tick) || r.divFlag.Load() {
+		// Before the stream's earliest unconsumed entry (or a diverged
+		// tolerant replay, whose remaining constraints are abandoned):
+		// skip the lock.
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := sigKey{tid, tick}
-	sigs := r.signalAt[k]
-	if len(sigs) > 0 {
-		delete(r.signalAt, k)
-		r.sigsLeft.Add(-int64(len(sigs)))
-	}
-	return sigs
+	return r.signals.takeLocked(tickKey{tid, tick})
 }
 
-// AsyncsAt consumes and returns the async events floated to tick.
+// AsyncsAt consumes and returns the async events floated to tick, in
+// recorded order.
 func (r *Replayer) AsyncsAt(tick uint64) []AsyncEvent {
-	if r.asyncsLeft.Load() == 0 || r.divFlag.Load() {
+	if r.asyncs.below(tick) || r.divFlag.Load() {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	evs := r.asyncAt[tick]
-	if len(evs) > 0 {
-		delete(r.asyncAt, tick)
-		r.asyncsLeft.Add(-int64(len(evs)))
-	}
-	return evs
+	return r.asyncs.takeLocked(tickKey{tick: tick})
 }
 
 // NextSyscall consumes the next SYSCALL record. The record's issuing thread
@@ -331,10 +402,11 @@ func (r *Replayer) MixOutput(p []byte) {
 }
 
 // leftoverLocked describes the first recorded constraint the run never
-// consumed (a signal never raised, a syscall never re-issued), nil if
-// there is none. finalTick is the replay's final tick counter.
+// consumed (the earliest signal never raised, by tick then thread, or a
+// syscall never re-issued), nil if there is none. finalTick is the
+// replay's final tick counter.
 func (r *Replayer) leftoverLocked(finalTick uint64) *DesyncError {
-	for k := range r.signalAt {
+	if k, ok := r.signals.firstLeftLocked(); ok {
 		return &DesyncError{
 			Stream: "SIGNAL", Tick: finalTick, TID: k.tid, Offset: k.tick,
 			Reason:   fmt.Sprintf("recorded signal for thread %d at tick %d was never delivered", k.tid, k.tick),
@@ -376,8 +448,8 @@ func (r *Replayer) Cursors() Cursors {
 	defer r.mu.Unlock()
 	return Cursors{
 		SyscallsConsumed: r.sysCursor,
-		SignalsLeft:      int(r.sigsLeft.Load()),
-		AsyncsLeft:       int(r.asyncsLeft.Load()),
+		SignalsLeft:      r.signals.left,
+		AsyncsLeft:       r.asyncs.left,
 	}
 }
 

@@ -424,3 +424,38 @@ func TestDatagramSockets(t *testing.T) {
 		t.Fatalf("send on closed dgram socket: %v", e)
 	}
 }
+
+// TestSysNames pins every syscall kind's name, the SYSCALL stream's codes
+// as the debugger and traces show them, and checks that String, which
+// runs on every instrumented syscall, allocates nothing.
+func TestSysNames(t *testing.T) {
+	want := map[Sys]string{
+		SysRead: "read", SysWrite: "write", SysRecv: "recv",
+		SysRecvmsg: "recvmsg", SysSend: "send", SysSendmsg: "sendmsg",
+		SysAccept: "accept", SysAccept4: "accept4",
+		SysClockGettime: "clock_gettime", SysIoctl: "ioctl",
+		SysSelect: "select", SysBind: "bind", SysPoll: "poll",
+		SysSocket: "socket", SysListen: "listen", SysConnect: "connect",
+		SysClose: "close", SysOpen: "open", SysPipe: "pipe",
+		SysEpollCreate: "epoll_create", SysEpollCtl: "epoll_ctl",
+		SysEpollWait: "epoll_wait",
+	}
+	if len(want) != int(SysEpollWait) {
+		t.Fatalf("pinned %d names for %d kinds", len(want), SysEpollWait)
+	}
+	for s := SysRead; s <= SysEpollWait; s++ {
+		if got := s.String(); got != want[s] {
+			t.Errorf("Sys(%d).String() = %q, want %q", s, got, want[s])
+		}
+	}
+	for _, s := range []Sys{0, SysEpollWait + 1, 0xFFFF} {
+		if got := s.String(); got != "sys?" {
+			t.Errorf("Sys(%d).String() = %q, want \"sys?\"", s, got)
+		}
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = SysClockGettime.String() }); allocs != 0 {
+		t.Errorf("Sys.String allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
+}

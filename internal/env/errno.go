@@ -107,20 +107,23 @@ const (
 	SysEpollWait
 )
 
+// sysNames is indexed by Sys. String runs on every instrumented syscall,
+// so it reads a table rather than building a map.
+var sysNames = [...]string{
+	SysRead: "read", SysWrite: "write", SysRecv: "recv",
+	SysRecvmsg: "recvmsg", SysSend: "send", SysSendmsg: "sendmsg",
+	SysAccept: "accept", SysAccept4: "accept4",
+	SysClockGettime: "clock_gettime", SysIoctl: "ioctl",
+	SysSelect: "select", SysBind: "bind", SysPoll: "poll",
+	SysSocket: "socket", SysListen: "listen", SysConnect: "connect",
+	SysClose: "close", SysOpen: "open", SysPipe: "pipe",
+	SysEpollCreate: "epoll_create", SysEpollCtl: "epoll_ctl",
+	SysEpollWait: "epoll_wait",
+}
+
 func (s Sys) String() string {
-	names := map[Sys]string{
-		SysRead: "read", SysWrite: "write", SysRecv: "recv",
-		SysRecvmsg: "recvmsg", SysSend: "send", SysSendmsg: "sendmsg",
-		SysAccept: "accept", SysAccept4: "accept4",
-		SysClockGettime: "clock_gettime", SysIoctl: "ioctl",
-		SysSelect: "select", SysBind: "bind", SysPoll: "poll",
-		SysSocket: "socket", SysListen: "listen", SysConnect: "connect",
-		SysClose: "close", SysOpen: "open", SysPipe: "pipe",
-		SysEpollCreate: "epoll_create", SysEpollCtl: "epoll_ctl",
-		SysEpollWait: "epoll_wait",
-	}
-	if n, ok := names[s]; ok {
-		return n
+	if int(s) < len(sysNames) && sysNames[s] != "" {
+		return sysNames[s]
 	}
 	return "sys?"
 }

@@ -727,6 +727,13 @@ func (s *Scheduler) ForceReschedule() {
 	if rep := s.opts.Replayer; rep != nil && !rep.DivergedNow() {
 		return
 	}
+	if s.tick == 0 {
+		// Before the first Tick only the main thread exists (every spawn
+		// is a visible operation), so there is nothing to switch to, and
+		// an ASYNC entry at tick 0 would float to a Tick replay never
+		// runs: its PRNG draw would be one replay cannot repeat.
+		return
+	}
 	if s.current != NoTID {
 		th := s.threads[s.current]
 		if th.inWait || th.midCritical {

@@ -377,3 +377,43 @@ func TestRecordReplayScheduleEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestForceRescheduleBeforeFirstTick: a forced reschedule before the first
+// Tick has only the main thread to choose and records nothing, since
+// replay applies ASYNC entries at the end of a Tick and has none at 0. One
+// after a Tick is recorded and replayed.
+func TestForceRescheduleBeforeFirstTick(t *testing.T) {
+	script := func(s *Scheduler, force bool) {
+		h := &harness{s: s, t: t}
+		if force {
+			s.ForceReschedule()
+		}
+		h.op(0, nil)
+		if force {
+			s.ForceReschedule()
+		}
+		h.op(0, func() { s.ThreadDelete(0) })
+	}
+	rec := demo.NewRecorder(demo.StrategyRandom, 1, 2)
+	s1, err := New(Options{Kind: demo.StrategyRandom, Seed1: 1, Seed2: 2, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(s1, true)
+	d := rec.Finish(s1.TickCount())
+	if len(d.Asyncs) != 1 || d.Asyncs[0].Kind != demo.AsyncReschedule || d.Asyncs[0].Tick != 1 {
+		t.Fatalf("recorded asyncs %v, want one reschedule at tick 1", d.Asyncs)
+	}
+	rp, err := demo.NewReplayer(d, demo.ReplayStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Options{Kind: demo.StrategyRandom, Seed1: 1, Seed2: 2, Replayer: rp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(s2, false)
+	if left := rp.Cursors().AsyncsLeft; left != 0 {
+		t.Errorf("replay left %d ASYNC entries unconsumed", left)
+	}
+}
