@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke fuzz-smoke bench
+.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke fuzz-smoke bench
 
 check: fmt vet build test tsanvet
 
@@ -121,6 +121,14 @@ load-smoke:
 	grep -q 'completed=1000 errors=0' /tmp/load-smoke.log
 	/tmp/netload -replay /tmp/load-smoke.demo2 | tee /tmp/load-smoke-replay.log
 	grep -q 'desync=false' /tmp/load-smoke-replay.log
+
+# experiments-smoke runs every cmd/experiments registry entry at one run per
+# cell into a throwaway artifact, so a failed run or a broken entry fails CI.
+# The tables print only once every entry has succeeded, so the grep for the
+# last entry's block fails when cmd/experiments did (tee hides its exit code).
+experiments-smoke:
+	$(GO) run ./cmd/experiments -runs 1 -o /tmp/experiments-smoke.json | tee /tmp/experiments-smoke.md
+	grep -q '<!-- experiments:bug -->' /tmp/experiments-smoke.md
 
 # fuzz-smoke fuzzes every decoder beyond its seed corpus for 30s each: the
 # v1/v2 demo decoder (FuzzDecode), the torn-file recovery path

@@ -1,16 +1,14 @@
 package repro
 
-// Benchmark harness: one benchmark family per table of the paper's
-// evaluation (§5), plus the §5.2 demo-size study, the §5.5 limitation, the
-// §4.2 strategy storage trade-off, and ablations for the design decisions
-// DESIGN.md calls out. Run with:
+// Benchmark harness for per-operation costs and design ablations: the §5.4
+// bug and §5.5 layout experiments as benchmarks, the §4.2 strategy storage
+// trade-off, ablations for the design decisions DESIGN.md calls out, and
+// the scheduler, recorder and observability hot paths. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Custom metrics carry the table's actual figure of merit: races/run for
-// Table 1, queries/sec for Table 2, fps for Table 5, demo bytes/request
-// for the storage studies. cmd/litmus, cmd/httpbench, cmd/parsecbench and
-// cmd/gamebench print the same data as paper-style tables with more runs.
+// The paper's tables are cmd/experiments' job: it writes every cell to a
+// JSON artifact and renders EXPERIMENTS.md's tables from it.
 
 import (
 	"fmt"
@@ -19,160 +17,13 @@ import (
 	"time"
 
 	"repro/internal/apps/game"
-	"repro/internal/apps/httpd"
 	"repro/internal/apps/litmus"
-	"repro/internal/apps/modes"
 	"repro/internal/apps/parsec"
-	"repro/internal/apps/pbzip"
 	"repro/internal/apps/ptrapp"
 	"repro/internal/core"
 	"repro/internal/demo"
 	"repro/internal/obs"
 )
-
-var table1Modes = []string{"tsan11", "tsan11+rr", "rnd", "queue"}
-
-// BenchmarkTable1 regenerates Table 1: per-program, per-mode execution
-// time (ns/op) and race rate (races/run).
-func BenchmarkTable1(b *testing.B) {
-	for _, p := range litmus.Programs {
-		for _, mode := range table1Modes {
-			b.Run(p.Name+"/"+mode, func(b *testing.B) {
-				raced := 0
-				for i := 0; i < b.N; i++ {
-					opts, err := modes.Options(mode, uint64(i)*7919+13, true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res := litmus.RunOnce(p, opts)
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-					if res.Races > 0 {
-						raced++
-					}
-				}
-				b.ReportMetric(float64(raced)/float64(b.N), "races/run")
-			})
-		}
-	}
-}
-
-var table2Modes = []string{"native", "rr", "tsan11", "tsan11+rr", "rnd", "queue", "rnd+rec", "queue+rec"}
-
-// BenchmarkTable2 regenerates Table 2: httpd-model throughput per mode.
-// Each iteration serves a batch of queries; qps is the table's metric.
-func BenchmarkTable2(b *testing.B) {
-	const requests, concurrency = 200, 10
-	cfg := httpd.DefaultConfig()
-	for _, mode := range table2Modes {
-		b.Run("httpd/"+mode, func(b *testing.B) {
-			var served, races int
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				out := httpd.RunExperiment(cfg, mode, uint64(i)*31+7, true, requests, concurrency)
-				if out.Err != nil {
-					b.Fatal(out.Err)
-				}
-				served += out.Load.Completed
-				races += out.Races()
-				elapsed += out.Load.Duration
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(served)/elapsed.Seconds(), "queries/sec")
-			}
-			b.ReportMetric(float64(races)/float64(b.N), "races/run")
-		})
-	}
-}
-
-// BenchmarkTable2DemoSize regenerates the §5.2 storage study: demo bytes
-// per request for both recording strategies.
-func BenchmarkTable2DemoSize(b *testing.B) {
-	const requests, concurrency = 200, 5
-	cfg := httpd.DefaultConfig()
-	for _, mode := range []string{"rnd+rec", "queue+rec"} {
-		b.Run(mode, func(b *testing.B) {
-			var bytes int
-			for i := 0; i < b.N; i++ {
-				out := httpd.RunExperiment(cfg, mode, uint64(i)+3, false, requests, concurrency)
-				if out.Err != nil {
-					b.Fatal(out.Err)
-				}
-				bytes += out.DemoBytes()
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N*requests), "demo-bytes/request")
-		})
-	}
-}
-
-// BenchmarkTable3 regenerates Tables 3 and 4: PARSEC-model and pbzip
-// execution time per configuration (ns/op is the Table 3 cell; Table 4 is
-// the ratio to the native row).
-func BenchmarkTable3(b *testing.B) {
-	const threads = 4
-	for _, kernel := range parsec.Benchmarks {
-		for _, mode := range table2Modes {
-			b.Run(kernel.Name+"/"+mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts, err := modes.Options(mode, uint64(i)*17+3, false)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, rep, err := parsec.RunOnce(kernel, opts, threads, 1); err != nil {
-						b.Fatal(err)
-					} else if rep.Err != nil {
-						b.Fatal(rep.Err)
-					}
-				}
-			})
-		}
-	}
-	for _, mode := range table2Modes {
-		b.Run("pbzip/"+mode, func(b *testing.B) {
-			cfg := pbzip.DefaultConfig()
-			cfg.Workers = threads
-			for i := 0; i < b.N; i++ {
-				opts, err := modes.Options(mode, uint64(i)*17+3, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, rep, err := pbzip.RunOnce(opts, cfg, 128<<10); err != nil {
-					b.Fatal(err)
-				} else if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable5 regenerates Table 5: uncapped frame rate of the game
-// model per configuration (the fps metric is the table's cells).
-func BenchmarkTable5(b *testing.B) {
-	cfg := game.DefaultConfig()
-	cfg.PlayNanos = int64(500 * time.Millisecond)
-	srv := game.DefaultServerConfig()
-	for _, mode := range []string{"native", "tsan11", "rnd", "queue", "rnd+rec", "queue+rec"} {
-		b.Run("quakespasm-model/"+mode, func(b *testing.B) {
-			var sum float64
-			var n int
-			for i := 0; i < b.N; i++ {
-				out := game.Play(cfg, srv, mode, uint64(i)*13+5)
-				if out.Err != nil {
-					b.Fatal(out.Err)
-				}
-				for _, f := range out.FPS {
-					sum += f
-					n++
-				}
-			}
-			if n > 0 {
-				b.ReportMetric(sum/float64(n), "fps")
-			}
-		})
-	}
-}
 
 // BenchmarkSection54Bug regenerates the §5.4 experiment end to end:
 // record networked play until the stale-state bug fires, then replay it.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,6 +74,97 @@ func TestTraceAndMetricsCaptureRun(t *testing.T) {
 	}
 	if rep.Forensics != nil {
 		t.Error("clean run produced a forensics report")
+	}
+}
+
+// streamsProgram touches every demo stream: a spawn, a mutex, clock reads
+// (SYSCALL), a raised signal (SIGNAL), and a signal that reaches a thread
+// blocked on the mutex, whose wakeup is an ASYNC entry.
+func streamsProgram(rt *Runtime) func(*Thread) {
+	return func(main *Thread) {
+		mu := rt.NewMutex("mu")
+		woken := main.NewAtomic64("woken", 0)
+		main.Signal(10, func(h *Thread, sig int32) { h.Printf("raised %d\n", sig) })
+		main.Raise(10)
+		_ = main.ClockGettime()
+		mu.Lock(main)
+		h := main.Spawn("owner", func(o *Thread) {
+			o.Signal(12, func(ht *Thread, sig int32) { woken.Store(ht, 1, SeqCst) })
+			_ = o.ClockGettime()
+			mu.Lock(o) // blocks until main has seen the handler run
+			mu.Unlock(o)
+		})
+		for !ownerBlocked(main, h.TID()) {
+			main.Yield()
+		}
+		rt.World().Kill(12)
+		for woken.Load(main, SeqCst) == 0 {
+			main.Yield()
+		}
+		mu.Unlock(main)
+		main.Join(h)
+	}
+}
+
+// TestTraceMetricsAndDemoStreamsAgree cross-checks three independent
+// accounts of one run, recorded and then strictly replayed under the queue
+// and the random strategy: the trace events of each visible-op kind equal
+// its ops.<kind> counter, the counters sum to Report.Ticks, and the
+// SIGNAL-, SYSCALL- and ASYNC-tagged events equal the lengths of the demo's
+// streams. The recording's demo.bytes.<section> counters equal its
+// SectionSizes (a strict replay records nothing).
+func TestTraceMetricsAndDemoStreamsAgree(t *testing.T) {
+	for _, strat := range []demo.Strategy{demo.StrategyQueue, demo.StrategyRandom} {
+		var d *demo.Demo
+		for _, phase := range []string{"record", "replay"} {
+			name := fmt.Sprintf("%v %s", strat, phase)
+			tr, mx := obs.NewTracer(1<<16), obs.NewMetrics()
+			opts := Options{Strategy: strat, Seed1: 5, Seed2: 6, Record: true}
+			if phase == "replay" {
+				opts = ReplayOptions(d)
+			}
+			opts.Trace, opts.Metrics = tr, mx
+			rt := newTestRuntime(t, opts)
+			rep, err := rt.Run(streamsProgram(rt))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if phase == "record" {
+				d = rep.Demo
+				if len(d.Signals) == 0 || len(d.Syscalls) == 0 || len(d.Asyncs) == 0 {
+					t.Fatalf("%s: a stream is empty: %d signals, %d syscalls, %d asyncs",
+						name, len(d.Signals), len(d.Syscalls), len(d.Asyncs))
+				}
+				for section, size := range d.SectionSizes() {
+					if got := mx.CounterValue("demo.bytes." + section); got != uint64(size) {
+						t.Errorf("%s: demo.bytes.%s = %d, SectionSizes says %d", name, section, got, size)
+					}
+				}
+			}
+			byKind, byStream := map[obs.Kind]uint64{}, map[obs.Stream]int{}
+			for _, ev := range tr.Snapshot() {
+				byKind[ev.Kind]++
+				byStream[ev.Stream]++
+			}
+			var sum uint64
+			for k := obs.KindYield; k <= obs.KindOp; k++ {
+				n := mx.CounterValue("ops." + k.String())
+				if byKind[k] != n {
+					t.Errorf("%s: %d %v events in the trace, ops.%v = %d", name, byKind[k], k, k, n)
+				}
+				sum += n
+			}
+			if sum != rep.Ticks {
+				t.Errorf("%s: ops.* counters sum to %d, Report.Ticks = %d", name, sum, rep.Ticks)
+			}
+			for stream, n := range map[obs.Stream]int{
+				obs.StreamSignal: len(d.Signals), obs.StreamSyscall: len(d.Syscalls), obs.StreamAsync: len(d.Asyncs),
+			} {
+				if byStream[stream] != n {
+					t.Errorf("%s: %d %v-tagged events, the demo's stream holds %d", name, byStream[stream], stream, n)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -137,6 +138,34 @@ func TestSignalWakeupEventRecorded(t *testing.T) {
 			t.Errorf("seed %d: replay left %d ASYNC entries unconsumed (asyncs: %v, final tick %d)",
 				seed, left, rec.Demo.Asyncs, rec.Demo.FinalTick)
 		}
+	}
+}
+
+// TestUnappliedAsyncEntryIsLeftover: a recorded ASYNC entry that replay
+// never applies is a leftover constraint, like an undelivered signal. A
+// reschedule at tick 0 passes Validate, but no Tick ever applies it: strict
+// replay must fail on the ASYNC stream and tolerant replay must diverge.
+func TestUnappliedAsyncEntryIsLeftover(t *testing.T) {
+	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 3, Seed2: 4, Record: true})
+	rec, err := rt.Run(clockProgram(rt))
+	if err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	d := rec.Demo.Clone()
+	d.Asyncs = append(d.Asyncs, demo.AsyncEvent{Kind: demo.AsyncReschedule, Tick: 0})
+	if err := d.Validate(); err != nil {
+		t.Fatalf("Validate rejected a tick-0 reschedule: %v", err)
+	}
+	strict := newTestRuntime(t, ReplayOptions(d))
+	_, err = strict.Run(clockProgram(strict))
+	var de *demo.DesyncError
+	if !errors.As(err, &de) || de.Stream != "ASYNC" {
+		t.Fatalf("strict replay: err = %v, want an ASYNC desync", err)
+	}
+	tol := newTestRuntime(t, TolerantReplayOptions(d))
+	rep, err := tol.Run(clockProgram(tol))
+	if err != nil || rep.Diverged == nil {
+		t.Fatalf("tolerant replay: err = %v, diverged = %v; want a divergence", err, rep.Diverged)
 	}
 }
 

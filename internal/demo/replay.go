@@ -177,12 +177,14 @@ func (s *tickSlots[T]) takeLocked(k tickKey) []T {
 	return s.vals[sl.lo:sl.hi:sl.hi]
 }
 
-// firstLeftLocked returns the key of the earliest slot not yet consumed.
-func (s *tickSlots[T]) firstLeftLocked() (tickKey, bool) {
+// firstLeftLocked returns the key and first entry of the earliest slot not
+// yet consumed.
+func (s *tickSlots[T]) firstLeftLocked() (k tickKey, first T, ok bool) {
 	if s.head < len(s.slots) {
-		return s.slots[s.head].key, true
+		sl := s.slots[s.head]
+		return sl.key, s.vals[sl.lo], true
 	}
-	return tickKey{}, false
+	return k, first, false
 }
 
 // NewReplayer builds a Replayer for d running under the given mode. It
@@ -402,16 +404,24 @@ func (r *Replayer) MixOutput(p []byte) {
 }
 
 // leftoverLocked describes the first recorded constraint the run never
-// consumed (the earliest signal never raised, by tick then thread, or a
-// syscall never re-issued), nil if there is none. finalTick is the
-// replay's final tick counter.
+// consumed (the earliest signal never raised, by tick then thread, the
+// earliest async event never applied, or a syscall never re-issued), nil
+// if there is none. finalTick is the replay's final tick counter.
 func (r *Replayer) leftoverLocked(finalTick uint64) *DesyncError {
-	if k, ok := r.signals.firstLeftLocked(); ok {
+	if k, _, ok := r.signals.firstLeftLocked(); ok {
 		return &DesyncError{
 			Stream: "SIGNAL", Tick: finalTick, TID: k.tid, Offset: k.tick,
 			Reason:   fmt.Sprintf("recorded signal for thread %d at tick %d was never delivered", k.tid, k.tick),
 			Expected: fmt.Sprintf("signal delivery to thread %d after its tick %d", k.tid, k.tick),
 			Observed: "the replay finished without re-raising it",
+		}
+	}
+	if k, ev, ok := r.asyncs.firstLeftLocked(); ok {
+		return &DesyncError{
+			Stream: "ASYNC", Tick: finalTick, TID: ev.TID, Offset: k.tick,
+			Reason:   fmt.Sprintf("recorded %v event for thread %d at tick %d was never applied", ev.Kind, ev.TID, k.tick),
+			Expected: fmt.Sprintf("%v event for thread %d at tick %d", ev.Kind, ev.TID, k.tick),
+			Observed: "the replay finished without applying it",
 		}
 	}
 	if r.sysCursor < len(r.d.Syscalls) {

@@ -1,15 +1,12 @@
-// Package stats provides the summary statistics and table rendering used by
-// the evaluation drivers: means, standard deviations, coefficients of
-// variation, and quartiles, matching the aggregates reported in the paper's
-// Tables 1-5.
+// Package stats provides summary statistics and text tables: means,
+// extremes and quantiles of a sample, and the load models' arrival and
+// popularity distributions (dist.go).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Sample accumulates float64 observations.
@@ -19,9 +16,6 @@ type Sample struct {
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
-
-// AddDuration appends a duration observation in milliseconds.
-func (s *Sample) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Millisecond)) }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
@@ -39,31 +33,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// CV returns the coefficient of variation (stddev / mean), the dispersion
-// measure the paper remarks on for Tables 1-3. Returns 0 when the mean is 0.
-func (s *Sample) CV() float64 {
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.StdDev() / m
 }
 
 // Min returns the smallest observation (0 for an empty sample).
@@ -95,12 +64,10 @@ func (s *Sample) Max() float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation of
-// the sorted sample, matching the 25th/median/75th columns of Table 5.
-// Degenerate inputs are defined rather than panicking: an empty sample
-// yields 0 (like Mean/Min/Max), a single observation is every quantile of
-// itself, q outside [0, 1] clamps to the extremes, and a NaN q returns NaN
-// (previously it slipped past both range checks and indexed the sorted
-// slice at int(NaN)).
+// the sorted sample. Degenerate inputs are defined rather than panicking:
+// an empty sample yields 0 (like Mean/Min/Max), a single observation is
+// every quantile of itself, q outside [0, 1] clamps to the extremes, and
+// a NaN q returns NaN.
 func (s *Sample) Quantile(q float64) float64 {
 	n := len(s.xs)
 	if math.IsNaN(q) {
@@ -134,24 +101,8 @@ func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 // is Quantile(0.25). It shares Quantile's degenerate-input behaviour.
 func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
 
-// Summary renders "mean (stddev)" with the given precision, the cell format
-// used throughout the paper's tables.
-func (s *Sample) Summary(prec int) string {
-	return fmt.Sprintf("%.*f (%.*f)", prec, s.Mean(), prec, s.StdDev())
-}
-
-// Overhead returns how many times slower (or lower-throughput) this sample's
-// mean is relative to the baseline mean, the "Overhead" column of
-// Tables 2 and 4. Returns +Inf when the baseline mean is 0.
-func Overhead(baselineMean, mean float64) float64 {
-	if mean == 0 {
-		return math.Inf(1)
-	}
-	return baselineMean / mean
-}
-
 // Table renders rows of cells under a header as an aligned text table,
-// suitable for terminal output of the benchmark drivers.
+// suitable for terminal output of the command-line tools.
 type Table struct {
 	Header []string
 	Rows   [][]string

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func sampleOf(xs ...float64) *Sample {
@@ -16,28 +15,17 @@ func sampleOf(xs ...float64) *Sample {
 	return s
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	s := sampleOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if got := s.Mean(); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	// Sample (n-1) standard deviation of this classic set is ~2.138.
-	if got := s.StdDev(); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ~2.138", got)
 	}
 }
 
 func TestEmptySampleSafe(t *testing.T) {
 	s := &Sample{}
-	if s.Mean() != 0 || s.StdDev() != 0 || s.CV() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
 		t.Error("empty sample should report zeros")
-	}
-}
-
-func TestCV(t *testing.T) {
-	s := sampleOf(10, 10, 10)
-	if s.CV() != 0 {
-		t.Errorf("constant sample CV = %v, want 0", s.CV())
 	}
 }
 
@@ -172,30 +160,6 @@ func TestMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddDuration(t *testing.T) {
-	s := &Sample{}
-	s.AddDuration(1500 * time.Millisecond)
-	if s.Mean() != 1500 {
-		t.Errorf("AddDuration stored %v ms, want 1500", s.Mean())
-	}
-}
-
-func TestSummaryFormat(t *testing.T) {
-	s := sampleOf(1, 3)
-	if got := s.Summary(1); got != "2.0 (1.4)" {
-		t.Errorf("Summary = %q", got)
-	}
-}
-
-func TestOverhead(t *testing.T) {
-	if Overhead(100, 10) != 10 {
-		t.Error("Overhead(100, 10) != 10")
-	}
-	if !math.IsInf(Overhead(5, 0), 1) {
-		t.Error("Overhead with zero mean should be +Inf")
 	}
 }
 
