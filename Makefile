@@ -25,10 +25,9 @@ test:
 # "Instrumentation discipline"): nonzero exit on any finding. It runs over
 # ./... and therefore covers internal/explore, internal/obs and
 # internal/conc along with everything else — including the interprocedural
-# lockorder and threadlocal passes. The run also writes the thread-locality
-# sparsity report that core.Options.Sharing consumes; CI archives it.
+# lockorder pass.
 tsanvet:
-	$(GO) run ./cmd/tsanvet -sharing /tmp/tsanrec-sharing.json ./...
+	$(GO) run ./cmd/tsanvet ./...
 
 # smoke runs the racehunt exploration pipeline end to end: a small trial
 # budget over ms-queue with 4 workers must find a failure, minimize it,

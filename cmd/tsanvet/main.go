@@ -7,13 +7,11 @@
 //
 // Usage:
 //
-//	tsanvet [-json] [-list] [-sharing out.json] [packages]
+//	tsanvet [-json] [-list] [packages]
 //
 // Packages are directories or "dir/..." patterns (default "./...").
-// -sharing additionally writes the threadlocal analyzer's sparsity report
-// (which core.Options.Sharing consumes) to the named file, or to stdout
-// when the file is "-". Exit status: 0 clean, 1 findings, 2 usage or load
-// error. The JSON schemas of both outputs are documented in DESIGN.md.
+// Exit status: 0 clean, 1 findings, 2 usage or load error. The -json
+// schema is documented in DESIGN.md.
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/atomicfile"
 	"repro/internal/lint"
 )
 
@@ -36,9 +33,8 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list the checks and exit")
-	sharing := fs.String("sharing", "", "write the thread-locality sparsity report to this `file` (\"-\" for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: tsanvet [-json] [-list] [-sharing out.json] [packages]")
+		fmt.Fprintln(errOut, "usage: tsanvet [-json] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -68,23 +64,6 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	findings := lint.Run(prog, lint.Analyzers())
-	if *sharing != "" {
-		data, err := json.MarshalIndent(lint.Sharing(prog), "", "  ")
-		if err != nil {
-			fmt.Fprintln(errOut, "tsanvet:", err)
-			return 2
-		}
-		data = append(data, '\n')
-		if *sharing == "-" {
-			if _, err := out.Write(data); err != nil {
-				fmt.Fprintln(errOut, "tsanvet:", err)
-				return 2
-			}
-		} else if err := atomicfile.WriteFile(*sharing, data, 0o644); err != nil {
-			fmt.Fprintln(errOut, "tsanvet:", err)
-			return 2
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")

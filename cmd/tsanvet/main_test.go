@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/tsan"
 )
 
 func moduleRoot(t *testing.T) string {
@@ -66,72 +65,5 @@ func TestJSONFindingsGolden(t *testing.T) {
 		if f.Check == "" || f.Message == "" || f.Severity == "" || f.Pos.Line == 0 {
 			t.Errorf("finding missing required field: %+v", f)
 		}
-	}
-}
-
-// TestSharingGolden pins the -sharing report bytes on the threadlocal clean
-// fixture (positions are module-relative, so the bytes are machine-stable)
-// and proves the cross-package schema contract: the report tsanvet writes is
-// the report internal/tsan parses, entry for entry.
-func TestSharingGolden(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "src", "threadlocal", "clean")
-	out, errOut, code := runCapture(t, "-sharing", "-", dir)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, errOut)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "sharing.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(want) {
-		t.Errorf("-sharing output drifted from golden\n--- got ---\n%s--- want ---\n%s", out, want)
-	}
-
-	rep, err := tsan.ParseSharing([]byte(out))
-	if err != nil {
-		t.Fatalf("internal/tsan cannot parse tsanvet's own report: %v", err)
-	}
-	if rep.Module != "repro" || rep.Tool != "tsanvet/threadlocal" {
-		t.Errorf("parsed header = %q/%q", rep.Module, rep.Tool)
-	}
-	wantLocal := map[string]bool{"clean.count": true, "clean.local": true, "clean.shared": false}
-	if len(rep.Entries) != len(wantLocal) {
-		t.Fatalf("parsed %d entries, want %d", len(rep.Entries), len(wantLocal))
-	}
-	for _, e := range rep.Entries {
-		local, ok := wantLocal[e.Name]
-		if !ok {
-			t.Errorf("unexpected entry %q", e.Name)
-			continue
-		}
-		if e.Local != local {
-			t.Errorf("entry %q: local=%v, want %v", e.Name, e.Local, local)
-		}
-		if !e.Local && e.Reason == "" {
-			t.Errorf("entry %q: shared without a reason", e.Name)
-		}
-	}
-}
-
-// TestSharingFileOutput exercises the file-writing path of -sharing.
-func TestSharingFileOutput(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "src", "threadlocal", "clean")
-	outFile := filepath.Join(t.TempDir(), "sharing.json")
-	_, errOut, code := runCapture(t, "-sharing", outFile, dir)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, errOut)
-	}
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tsan.ParseSharing(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) == 0 {
-		t.Error("report written to file has no entries")
 	}
 }

@@ -195,7 +195,6 @@ func New(opts Options) (*Runtime, error) {
 		rt.det = tsan.New(prng.New(seed1, seed2), tsan.Options{
 			HistoryDepth:          opts.HistoryDepth,
 			SequentialConsistency: opts.SequentialConsistency,
-			Sharing:               opts.Sharing,
 		})
 		rt.det.SetReporting(opts.ReportRaces)
 		rt.det.SetTrace(rt.tr)
@@ -272,7 +271,6 @@ func New(opts Options) (*Runtime, error) {
 	rt.det = tsan.New(s.Rand(), tsan.Options{
 		HistoryDepth:          opts.HistoryDepth,
 		SequentialConsistency: opts.SequentialConsistency,
-		Sharing:               opts.Sharing,
 	})
 	rt.det.SetReporting(opts.ReportRaces)
 	rt.det.SetTrace(rt.tr)

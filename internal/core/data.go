@@ -162,26 +162,17 @@ type Var[V any] struct {
 	rt     *Runtime
 	name   string
 	shadow tsan.Shadow
-	claim  tsan.LocalClaim
-	local  bool
 	v      V
 }
 
-// NewVar creates a race-checked non-atomic location. When the runtime was
-// given a sparsity report (Options.Sharing) that proves every creation
-// site of this name single-thread-reachable, accesses skip the detector —
-// no detMu, no shadow state — behind the per-instance claim check.
+// NewVar creates a race-checked non-atomic location.
 func NewVar[V any](rt *Runtime, name string, init V) *Var[V] {
-	return &Var[V]{rt: rt, name: name, v: init, local: rt.det.StaticLocal(name)}
+	return &Var[V]{rt: rt, name: name, v: init}
 }
 
 // Read returns the value, reporting a race if it conflicts with a
 // concurrent write.
 func (x *Var[V]) Read(t *Thread) V {
-	if x.local {
-		x.rt.det.OnLocalAccess(&x.claim, t.id, x.name)
-		return x.v
-	}
 	x.rt.detMu.Lock()
 	if !x.rt.opts.DisableRaces {
 		x.rt.det.OnRead(&x.shadow, t.id, x.name)
@@ -197,11 +188,6 @@ func (x *Var[V]) Write(t *Thread, v V) {
 	if x.rt.widx != nil {
 		x.rt.widx.Note(x.name, t.id, t.lastTick)
 	}
-	if x.local {
-		x.rt.det.OnLocalAccess(&x.claim, t.id, x.name)
-		x.v = v
-		return
-	}
 	x.rt.detMu.Lock()
 	if !x.rt.opts.DisableRaces {
 		x.rt.det.OnWrite(&x.shadow, t.id, x.name)
@@ -214,11 +200,6 @@ func (x *Var[V]) Write(t *Thread, v V) {
 func (x *Var[V]) Update(t *Thread, fn func(V) V) {
 	if x.rt.widx != nil {
 		x.rt.widx.Note(x.name, t.id, t.lastTick)
-	}
-	if x.local {
-		x.rt.det.OnLocalAccess(&x.claim, t.id, x.name)
-		x.v = fn(x.v)
-		return
 	}
 	x.rt.detMu.Lock()
 	if !x.rt.opts.DisableRaces {

@@ -146,14 +146,6 @@ type Options struct {
 	// thread's last tick) — the reverse-continue target map the debugger
 	// queries. Usable in any controlled mode.
 	WriteIndex *tsan.WriteIndex
-	// Sharing is the static sparsity report produced by
-	// `tsanvet -sharing out.json`. Vars whose every creation site the
-	// threadlocal analyzer proved single-thread-reachable skip the
-	// detector's shadow path entirely, guarded by a per-instance dynamic
-	// claim check: a second thread touching a claimed-local Var is a hard
-	// error (tsan.SparsityViolation) rather than a silently dropped race.
-	// Nil disables the fast path.
-	Sharing *tsan.SharingReport
 }
 
 // RecordOptions returns the standard find-and-record configuration: the

@@ -213,15 +213,3 @@ func (w *World) WaitEpoll(epfd int, timeout time.Duration) {
 		}
 	}
 }
-
-// EpollReadyCount reports how many candidate fds are queued (test and
-// diagnostics helper; includes not-yet-pruned stale entries).
-func (w *World) EpollReadyCount(epfd int) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ed, e := w.lookupLocked(epfd, FDEpoll)
-	if e != OK {
-		return 0
-	}
-	return len(ed.ep.ready)
-}

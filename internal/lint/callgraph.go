@@ -7,19 +7,17 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// This file is the interprocedural layer under lockorder and threadlocal:
-// a whole-program, type-based call graph over every loaded package. The
-// resolution is CHA-style — sound but imprecise: a static call resolves to
-// its one target; an interface method call resolves to every program
-// method that could implement it; a call through a func value resolves to
-// every program function (declaration or literal) with an identical
-// signature. Over-approximating the callee set can only add spurious
-// lock-order edges or demote a variable to "shared" — it can never hide a
-// deadlock or wrongly claim thread-locality, which is the direction both
-// analyses must err in.
+// This file is the interprocedural layer under lockorder: a whole-program,
+// type-based call graph over every loaded package. The resolution is
+// CHA-style — sound but imprecise: a static call resolves to its one
+// target; an interface method call resolves to every program method that
+// could implement it; a call through a func value resolves to every
+// program function (declaration or literal) with an identical signature.
+// Over-approximating the callee set can only add spurious lock-order edges
+// — it can never hide a deadlock, which is the direction the analysis must
+// err in.
 
 // funcNode is one program function with a body: a declaration, a method,
 // or a function literal.
@@ -28,14 +26,7 @@ type funcNode struct {
 	node ast.Node // *ast.FuncDecl or *ast.FuncLit
 	body *ast.BlockStmt
 	sig  *types.Signature
-	obj  *types.Func // nil for literals
-	name string      // diagnostic name, e.g. "pkg.(*T).M" or "pkg.func@file:12"
-}
-
-// callerRef records one call site that may dispatch to a callee.
-type callerRef struct {
-	fn   *funcNode
-	call *ast.CallExpr
+	name string // diagnostic name, e.g. "pkg.(*T).M" or "pkg.func@file:12"
 }
 
 // interState is the lazily-built whole-program state shared by the
@@ -50,15 +41,10 @@ type interState struct {
 	byObj   map[*types.Func]*funcNode
 	byNode  map[ast.Node]*funcNode
 	parents map[*ast.File]parentMap
-	fileOf  map[ast.Node]*ast.File // funcNode.node -> enclosing file
 
 	// named holds every non-interface named type declared in the program,
 	// for interface-call CHA.
 	named []*types.Named
-
-	// callers is the reverse call graph: every call site whose resolved
-	// candidate set includes the keyed function.
-	callers map[*funcNode][]callerRef
 
 	// lockNames maps the variable or struct field a lock is bound to at
 	// its creation site to the constant name string passed to
@@ -68,7 +54,6 @@ type interState struct {
 	// Cached analysis results (computed on demand).
 	lockFindings []Finding
 	lockDone     bool
-	sharing      *SharingReport
 }
 
 // interState returns the whole-program state, rebuilding it if packages
@@ -83,8 +68,6 @@ func (p *Program) interState() *interState {
 		byObj:     make(map[*types.Func]*funcNode),
 		byNode:    make(map[ast.Node]*funcNode),
 		parents:   make(map[*ast.File]parentMap),
-		fileOf:    make(map[ast.Node]*ast.File),
-		callers:   make(map[*funcNode][]callerRef),
 		lockNames: make(map[*types.Var]string),
 	}
 	ix.build()
@@ -93,7 +76,7 @@ func (p *Program) interState() *interState {
 }
 
 // build indexes every function body, named type and lock-name binding in
-// the program, then records the reverse call graph.
+// the program.
 func (ix *interState) build() {
 	for _, pkg := range ix.prog.Packages {
 		for _, file := range pkg.Files {
@@ -102,33 +85,6 @@ func (ix *interState) build() {
 		}
 	}
 	sort.Slice(ix.funcs, func(i, j int) bool { return ix.funcs[i].node.Pos() < ix.funcs[j].node.Pos() })
-	for _, fn := range ix.funcs {
-		fn := fn
-		inspectOwn(fn, func(n ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			callees, _ := ix.callees(fn.pkg, call)
-			for _, callee := range callees {
-				ix.callers[callee] = append(ix.callers[callee], callerRef{fn: fn, call: call})
-			}
-		})
-	}
-}
-
-// inspectOwn walks fn's body without descending into nested function
-// literals (which are their own funcNodes).
-func inspectOwn(fn *funcNode, visit func(ast.Node)) {
-	ast.Inspect(fn.body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit != fn.node {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 func (ix *interState) indexFile(pkg *Package, file *ast.File) {
@@ -143,11 +99,10 @@ func (ix *interState) indexFile(pkg *Package, file *ast.File) {
 				return true
 			}
 			fn := &funcNode{pkg: pkg, node: x, body: x.Body,
-				sig: obj.Type().(*types.Signature), obj: obj, name: funcDisplayName(pkg, obj)}
+				sig: obj.Type().(*types.Signature), name: funcDisplayName(pkg, obj)}
 			ix.funcs = append(ix.funcs, fn)
 			ix.byObj[obj] = fn
 			ix.byNode[x] = fn
-			ix.fileOf[x] = file
 		case *ast.FuncLit:
 			tv, ok := pkg.Info.Types[x]
 			if !ok {
@@ -162,7 +117,6 @@ func (ix *interState) indexFile(pkg *Package, file *ast.File) {
 				name: fmt.Sprintf("%s.func@%s:%d", pkg.Types.Name(), shortFile(pos.Filename), pos.Line)}
 			ix.funcs = append(ix.funcs, fn)
 			ix.byNode[x] = fn
-			ix.fileOf[x] = file
 		case *ast.TypeSpec:
 			if obj, ok := pkg.Info.Defs[x.Name].(*types.TypeName); ok && !obj.IsAlias() {
 				if named, ok := obj.Type().(*types.Named); ok && !types.IsInterface(named) {
@@ -332,28 +286,23 @@ func lvalueObj(pkg *Package, e ast.Expr) *types.Var {
 }
 
 // callees resolves a call expression to its candidate program functions.
-// resolved reports whether the callee set is known to be complete from the
-// program's point of view: false means the call may reach code outside the
-// loaded program (stdlib, builtins, conversions), which the thread-locality
-// analysis must treat as an escape. Static calls to module functions whose
-// bodies are not loaded (framework packages during fixture runs) resolve
-// with an empty candidate set but resolved=true — the framework's own
-// behaviour is modelled by the analyzers, not traced.
-func (ix *interState) callees(pkg *Package, call *ast.CallExpr) (nodes []*funcNode, resolved bool) {
+// Calls that cannot reach loaded program code (conversions, builtins,
+// stdlib, module functions whose bodies are not loaded) resolve to none.
+func (ix *interState) callees(pkg *Package, call *ast.CallExpr) []*funcNode {
 	// Immediately-invoked or directly-called literal.
 	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
 		if fn := ix.byNode[lit]; fn != nil {
-			return []*funcNode{fn}, true
+			return []*funcNode{fn}
 		}
-		return nil, false
+		return nil
 	}
 	// Conversions and builtins are not calls into program code.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		return nil, false
+		return nil
 	}
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if _, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-			return nil, false
+			return nil
 		}
 	}
 	// Static function or method call.
@@ -362,24 +311,20 @@ func (ix *interState) callees(pkg *Package, call *ast.CallExpr) (nodes []*funcNo
 		// A method whose receiver is an interface dispatches dynamically:
 		// widen to every program method that could implement it.
 		if recv := sig.Recv(); recv != nil && types.IsInterface(recv.Type()) {
-			return ix.implementers(recv.Type().Underlying().(*types.Interface), f), true
+			return ix.implementers(recv.Type().Underlying().(*types.Interface), f)
 		}
 		if fn := ix.byObj[f]; fn != nil {
-			return []*funcNode{fn}, true
+			return []*funcNode{fn}
 		}
-		if f.Pkg() != nil && (f.Pkg().Path() == ix.prog.ModulePath ||
-			strings.HasPrefix(f.Pkg().Path(), ix.prog.ModulePath+"/")) {
-			return nil, true // module function without a loaded body
-		}
-		return nil, false // stdlib
+		return nil
 	}
 	// Func-value call: CHA over signature-identical program functions.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok {
 		if sig, ok := tv.Type.(*types.Signature); ok {
-			return ix.signatureMatches(sig), true
+			return ix.signatureMatches(sig)
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // implementers returns every program method implementing interface method
@@ -422,28 +367,6 @@ func (ix *interState) signatureMatches(sig *types.Signature) []*funcNode {
 		}
 	}
 	return out
-}
-
-// enclosingFunc walks up the parent chain from n to the innermost
-// enclosing funcNode.
-func (ix *interState) enclosingFunc(file *ast.File, n ast.Node) *funcNode {
-	parents := ix.parents[file]
-	for cur := parents[n]; cur != nil; cur = parents[cur] {
-		if fn := ix.byNode[cur]; fn != nil {
-			return fn
-		}
-	}
-	return nil
-}
-
-// fileContaining returns the loaded file whose extent covers pos.
-func (ix *interState) fileContaining(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			return f
-		}
-	}
-	return nil
 }
 
 // allowWaived reports whether an //tsanrec:allow(check) span anywhere in

@@ -80,7 +80,6 @@ func Analyzers() []Analyzer {
 		LockOrder{},
 		JoinLeak{},
 		VarEscape{},
-		ThreadLocal{},
 	}
 }
 

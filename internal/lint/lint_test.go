@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +70,8 @@ func parseWant(t *testing.T, dir string) map[wantKey]int {
 // package under testdata/src/<check>/{bad,clean} and compares the findings
 // against the fixtures' `// want` markers. Clean fixtures double as the
 // suppression tests: their directives must silence the seeded violations
-// without themselves being reported stale.
+// without themselves being reported stale. Every check in AnalyzerNames
+// needs a fixture directory, and every fixture directory needs both sides.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	root := moduleRootForTest(t)
 	prog, err := NewProgram(root)
@@ -83,8 +83,14 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(checkDirs) == 0 {
-		t.Fatal("no fixture directories under testdata/src")
+	hasFixture := make(map[string]bool)
+	for _, checkDir := range checkDirs {
+		hasFixture[checkDir.Name()] = checkDir.IsDir()
+	}
+	for _, name := range AnalyzerNames() {
+		if !hasFixture[name] {
+			t.Errorf("check %q has no fixture directory under testdata/src", name)
+		}
 	}
 	for _, checkDir := range checkDirs {
 		if !checkDir.IsDir() {
@@ -92,13 +98,10 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		}
 		for _, kind := range []string{"bad", "clean"} {
 			dir := filepath.Join(src, checkDir.Name(), kind)
-			if _, err := os.Stat(dir); os.IsNotExist(err) {
-				// Some checks have only one side: threadlocal is a
-				// classifier whose "findings" are report entries, so it has
-				// no bad fixture.
-				continue
-			}
 			t.Run(checkDir.Name()+"/"+kind, func(t *testing.T) {
+				if _, err := os.Stat(dir); err != nil {
+					t.Fatalf("every fixture directory needs both sides: %v", err)
+				}
 				if err := prog.Load(dir, []string{dir}); err != nil {
 					t.Fatal(err)
 				}
@@ -133,54 +136,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSharingReportBytes pins the threadlocal sparsity report for the
-// clean fixture at the analyzer layer: entry order (sorted by name), the
-// JSON field names, and the module-relative positions that make the bytes
-// machine-independent. cmd/tsanvet has a matching CLI-level golden.
-func TestSharingReportBytes(t *testing.T) {
-	root := moduleRootForTest(t)
-	prog, err := NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "lint", "testdata", "src", "threadlocal", "clean")
-	if err := prog.Load(dir, []string{dir}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.MarshalIndent(Sharing(prog), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `{
-  "module": "repro",
-  "tool": "tsanvet/threadlocal",
-  "entries": [
-    {
-      "name": "clean.count",
-      "kind": "atomic64",
-      "pos": "internal/lint/testdata/src/threadlocal/clean/clean.go:19:13",
-      "local": true
-    },
-    {
-      "name": "clean.local",
-      "kind": "var",
-      "pos": "internal/lint/testdata/src/threadlocal/clean/clean.go:17:13",
-      "local": true
-    },
-    {
-      "name": "clean.shared",
-      "kind": "var",
-      "pos": "internal/lint/testdata/src/threadlocal/clean/clean.go:13:12",
-      "local": false,
-      "reason": "captured by a closure passed to Thread.Spawn, which runs on another thread"
-    }
-  ]
-}`
-	if string(data) != want {
-		t.Errorf("sharing report drifted\n--- got ---\n%s\n--- want ---\n%s", data, want)
 	}
 }
 
@@ -233,7 +188,7 @@ func TestAnalyzerNamesAreKnown(t *testing.T) {
 			t.Errorf("name %q not accepted by knownCheck", n)
 		}
 	}
-	for _, required := range []string{"rawgo", "rawsync", "lockpair", "lockorder", "joinleak", "varescape", "threadlocal", CheckDirective} {
+	for _, required := range []string{"rawgo", "rawsync", "lockpair", "lockorder", "joinleak", "varescape", CheckDirective} {
 		if !seen[required] {
 			t.Errorf("analyzer %q missing from AnalyzerNames", required)
 		}

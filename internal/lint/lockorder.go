@@ -213,7 +213,7 @@ func (ix *interState) scanFunction(fn *funcNode) *fnLockSummary {
 			if _, rel, ok := ix.classifyLockCall(fn.pkg, x.Call); ok && rel {
 				return false
 			}
-			if callees, _ := ix.callees(fn.pkg, x.Call); len(callees) > 0 {
+			if callees := ix.callees(fn.pkg, x.Call); len(callees) > 0 {
 				s.calls = append(s.calls, lockCallSite{callees: callees,
 					pos: ix.prog.position(x.Call.Pos()), held: snapshot()})
 			}
@@ -248,7 +248,7 @@ func (ix *interState) scanFunction(fn *funcNode) *fnLockSummary {
 				}
 				return true
 			}
-			if callees, _ := ix.callees(fn.pkg, x); len(callees) > 0 {
+			if callees := ix.callees(fn.pkg, x); len(callees) > 0 {
 				s.calls = append(s.calls, lockCallSite{callees: callees,
 					pos: ix.prog.position(x.Pos()), held: snapshot()})
 			}

@@ -78,13 +78,6 @@ func (s *Scheduler) ThreadDelete(tid TID) {
 	th.joinWaiters = nil
 }
 
-// ThreadName returns the debug name of tid.
-func (s *Scheduler) ThreadName(tid TID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.threads[tid].name
-}
-
 func (s *Scheduler) assertCurrentLocked(tid TID, op string) {
 	if s.current != tid || !s.threads[tid].midCritical {
 		panic(fmt.Sprintf("sched: %s by thread %d outside its critical section (current %d)",

@@ -780,13 +780,6 @@ func (s *Scheduler) ThreadSettled(tid TID) bool {
 	return th.done || !th.enabled
 }
 
-// LiveThreads returns the number of threads that have not completed.
-func (s *Scheduler) LiveThreads() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live
-}
-
 // ThreadCount returns the total number of threads ever created.
 func (s *Scheduler) ThreadCount() int {
 	s.mu.Lock()

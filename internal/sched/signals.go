@@ -157,16 +157,3 @@ func (s *Scheduler) RecentSchedule() []string {
 	}
 	return out
 }
-
-// DumpState renders the scheduler state for diagnostics.
-func (s *Scheduler) DumpState() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := fmt.Sprintf("tick=%d current=%d live=%d stopped=%v\n", s.tick, s.current, s.live, s.stopped)
-	for _, th := range s.threads {
-		out += fmt.Sprintf("  t%d %q enabled=%v done=%v inWait=%v mid=%v lastTick=%d mutex=%#x cond=%#x join=%d pend=%d\n",
-			th.id, th.name, th.enabled, th.done, th.inWait, th.midCritical,
-			th.lastTick, th.waitMutex, th.waitCond, th.waitJoin, len(th.pendingSigs))
-	}
-	return out
-}

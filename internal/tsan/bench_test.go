@@ -39,28 +39,6 @@ func BenchmarkDataAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkDataAccessLocal measures the statically-thread-local fast path
-// the `tsanvet -sharing` report unlocks: one atomic claim-word check per
-// access instead of the full shadow update. One read+write pair per
-// iteration, mirroring BenchmarkDataAccess so the two are directly
-// comparable; the thread count is irrelevant here by construction (the
-// fast path never touches clocks), which the flat numbers demonstrate.
-func BenchmarkDataAccessLocal(b *testing.B) {
-	for _, n := range []int{2, 32, 128} {
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			d := newBenchDetector(n)
-			tid := TID(n - 1)
-			var c LocalClaim
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.OnLocalAccess(&c, tid, "bench.local")
-				d.OnLocalAccess(&c, tid, "bench.local")
-			}
-		})
-	}
-}
-
 // BenchmarkAtomicRelease measures a release-store loop. Each iteration
 // publishes a release clock; with shared copy-on-write snapshots this
 // allocates nothing after warm-up (the pre-rewrite detector deep-copied an

@@ -70,11 +70,6 @@ type Options struct {
 	SequentialConsistency bool
 	// MaxReports bounds the number of race reports retained. Default 128.
 	MaxReports int
-	// Sharing is the static sparsity report from `tsanvet -sharing`;
-	// variables every creation site of which it proves thread-local take
-	// the O(1) no-shadow fast path (OnLocalAccess). Nil disables the fast
-	// path entirely.
-	Sharing *SharingReport
 }
 
 // Detector is the race-detection and memory-model engine.
@@ -113,10 +108,6 @@ type Detector struct {
 	seen     map[reportKey]bool
 	disabled bool
 	tr       *obs.Tracer // trace sink for race reports; nil-safe
-
-	// local maps variable names the sparsity report proves
-	// single-thread-reachable; see sparsity.go.
-	local map[string]bool
 }
 
 // SetTrace attaches an execution tracer; each distinct race report emits
@@ -136,7 +127,6 @@ func New(rng *prng.Source, opts Options) *Detector {
 		rng:     rng,
 		scClock: &vclock.Clock{},
 		seen:    make(map[reportKey]bool),
-		local:   buildLocalSet(opts.Sharing),
 	}
 	d.registerThread(0)
 	return d
