@@ -353,11 +353,7 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	}
 	rt.mu.Unlock()
 	if rt.rec != nil {
-		if rt.rec.Streaming() {
-			err = rt.finishStream(rep, err)
-		} else {
-			rep.Demo = rt.rec.Finish(rt.sch.TickCount())
-		}
+		err = rt.finishRecording(rep, err)
 	}
 	if rt.rep != nil {
 		oc := rt.rep.Outcome(rt.sch.TickCount(), err)
@@ -374,17 +370,19 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	return rep, err
 }
 
-// finishStream ends the streamed recording and sets rep.Demo, returning
-// err, or the stream's first error if err is nil. The file is sealed and
-// kept at rep.DemoPath unless RecordDiscardPassing applies: a streaming
-// run records and never replays, so err and the races already decide
-// Report.Failed, and a passing run's recording is discarded.
-func (rt *Runtime) finishStream(rep *Report, err error) error {
-	path := rt.rec.StreamPath()
+// finishRecording ends the recording and sets rep.Demo, returning err, or
+// the recording's first error if err is nil. A streamed recording is
+// sealed and kept at rep.DemoPath unless RecordDiscardPassing applies: a
+// streaming run records and never replays, so err and the races already
+// decide Report.Failed, and a passing run's recording is discarded. Every
+// other recording, in memory or tolerant replay's, is discarded too:
+// Discard returns its demo and leaves no file.
+func (rt *Runtime) finishRecording(rep *Report, err error) error {
+	path := rt.opts.RecordPath
 	tick := rt.sch.TickCount()
-	discard := rt.opts.RecordDiscardPassing && err == nil && len(rep.Races) == 0
+	keep := path != "" && !(rt.opts.RecordDiscardPassing && err == nil && len(rep.Races) == 0)
 	var serr error
-	if discard {
+	if !keep {
 		if rep.Demo, serr = rt.rec.Discard(tick); serr != nil {
 			serr = fmt.Errorf("core: closing demo stream: %w", serr)
 		}
@@ -400,7 +398,7 @@ func (rt *Runtime) finishStream(rep *Report, err error) error {
 		if _, statErr := os.Stat(path); statErr == nil {
 			rep.DemoPath = path
 		}
-	} else if !discard {
+	} else if keep {
 		rep.DemoPath = path
 	}
 	if err == nil {
@@ -433,7 +431,7 @@ func (rt *Runtime) finishObs(rep *Report, start time.Time) {
 				rt.mx.Add("demo.bytes."+section, uint64(size))
 			}
 		}
-		if rt.rec != nil && rt.rec.Streaming() {
+		if rt.opts.RecordPath != "" {
 			fate := "demo.streams.discarded"
 			if rep.DemoPath != "" {
 				fate = "demo.streams.kept"

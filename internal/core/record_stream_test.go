@@ -22,15 +22,29 @@ import (
 // desync, output a prefix of the full run's output.
 
 // repeatProgram runs the generated program body reps times inside one
-// execution, stretching the run past several background flush intervals.
-// Each iteration builds fresh vars, so it is as re-runnable as the
-// original (replay requires the identical program).
-func repeatProgram(cfg genConfig, reps int) func(rt *Runtime) func(*Thread) {
+// execution. Each iteration builds fresh vars, so it is as re-runnable as
+// the original (replay requires the identical program). While it records
+// to a stream, it waits after every tenth iteration until a timed flush
+// has grown the file, so the recording outlasts several flushes however
+// fast the host runs it; a replay skips the waits, which are invisible.
+func repeatProgram(t *testing.T, cfg genConfig, reps int) func(rt *Runtime) func(*Thread) {
 	return func(rt *Runtime) func(*Thread) {
 		inner := genProgram(cfg)(rt)
+		path := rt.opts.RecordPath
 		return func(main *Thread) {
+			var size int64
 			for i := 0; i < reps; i++ {
 				inner(main)
+				if path != "" && i%10 == 0 {
+					waitFor(t, "a timed flush", func() bool {
+						fi, err := os.Stat(path)
+						grew := err == nil && fi.Size() > size
+						if grew {
+							size = fi.Size()
+						}
+						return grew
+					})
+				}
 			}
 		}
 	}
@@ -78,10 +92,10 @@ func TestStreamingRecordReplaysExactly(t *testing.T) {
 
 func TestCrashRecoveryPropertyReplaysPrefix(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
-		// Long enough (tens of ms) that several background flush batches
-		// land before Close, so cuts inside the file find footers.
+		// Several background flush batches land before Close, so cuts
+		// inside the file find footers.
 		cfg := genConfig{threads: 3, opsPer: 60, seed: seed * 97}
-		prog := repeatProgram(cfg, 30)
+		prog := repeatProgram(t, cfg, 30)
 		rec, path := recordStreamed(t, prog, seed)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -529,5 +543,59 @@ func TestSpilledDiscardIsNotSynced(t *testing.T) {
 	kept := streamRun(t, spillingProgram(t, keptPath), keptPath, false, time.Millisecond, nil)
 	if rep.Demo == nil || !reflect.DeepEqual(rep.Demo, kept.Demo) {
 		t.Fatal("discarded demo differs from the kept file's")
+	}
+}
+
+// TestLongSingleThreadQueueStreamReplays: one thread scheduled alone for
+// just over 1Mi ticks makes a QUEUE run longer than rle's per-stream
+// decode floor. The writer splits it across queue chunks, so the
+// recording decodes whether it stays in memory, is streamed and kept, or
+// is streamed and discarded, each in one flush. The three demos are
+// equal, and the demo strict-replays.
+func TestLongSingleThreadQueueStreamReplays(t *testing.T) {
+	const ticks = 1<<20 + 16
+	prog := func(rt *Runtime) func(*Thread) {
+		return func(main *Thread) {
+			for i := 0; i < ticks; i++ {
+				main.Yield()
+			}
+		}
+	}
+	dir := t.TempDir()
+	var rec *Report
+	for _, tc := range []struct {
+		name, path string
+		discard    bool
+	}{
+		{"memory", "", false},
+		{"kept", filepath.Join(dir, "kept.demo2"), false},
+		{"discarded", filepath.Join(dir, "discarded.demo2"), true},
+	} {
+		opts := RecordOptions(demo.StrategyQueue, 1, 2)
+		opts.MaxTicks = 2 * ticks
+		opts.RecordPath, opts.RecordDiscardPassing = tc.path, tc.discard
+		if tc.path != "" {
+			opts.RecordFlushInterval = time.Hour
+		}
+		rt := newTestRuntime(t, opts)
+		rep, err := rt.Run(prog(rt))
+		if err != nil {
+			t.Fatalf("%s: record: %v", tc.name, err)
+		}
+		if rep.Ticks <= 1<<20 || rep.Demo.FinalTick != rep.Ticks {
+			t.Fatalf("%s: recorded %d ticks, demo final tick %d", tc.name, rep.Ticks, rep.Demo.FinalTick)
+		}
+		if rec == nil {
+			rec = rep
+		} else if !reflect.DeepEqual(rep.Demo, rec.Demo) {
+			t.Fatalf("%s: demo differs from the in-memory recording's", tc.name)
+		}
+	}
+	replay := ReplayOptions(rec.Demo)
+	replay.MaxTicks = 2 * ticks
+	rt := newTestRuntime(t, replay)
+	rep, err := rt.Run(prog(rt))
+	if err != nil || rep.SoftDesync || rep.Ticks != rec.Ticks {
+		t.Fatalf("strict replay: err %v soft %v ticks %d/%d", err, rep.SoftDesync, rep.Ticks, rec.Ticks)
 	}
 }

@@ -118,19 +118,6 @@ func (c *payCursor) fixed64(what string) uint64 {
 	return binary.LittleEndian.Uint64(c.pay[c.off-8:])
 }
 
-func (c *payCursor) rleBytes(what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	out, n, err := rle.DecodeBytes(c.pay[c.off:])
-	if err != nil {
-		c.err = fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
-		return nil
-	}
-	c.off += n
-	return out
-}
-
 func (c *payCursor) rleUint64s(what string) []uint64 {
 	if c.err != nil {
 		return nil
@@ -195,8 +182,16 @@ func (c *payCursor) asyncs(dst []AsyncEvent) []AsyncEvent {
 	return dst
 }
 
+// syscalls cuts every record's Bufs from one backing array shared by the
+// section, and the buffers' bytes from the unused tail of a byte array
+// sized to the rest of the payload, which holds their encodings, so a
+// section costs a few allocations, not two per record. A buffer that does
+// not fit in the tail gets an array of its own, and an empty tail is
+// refilled the same way, so no buffer is ever copied.
 func (c *payCursor) syscalls(dst []SyscallRecord) []SyscallRecord {
 	n := c.uvarint("syscall count")
+	var bufs [][]byte
+	var tail []byte
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		sc := SyscallRecord{
 			TID:   int32(uint32(c.uvarint("syscall tid"))),
@@ -205,12 +200,24 @@ func (c *payCursor) syscalls(dst []SyscallRecord) []SyscallRecord {
 			Errno: int32(uint32(c.uvarint("syscall errno"))),
 		}
 		nBufs := c.uvarint("syscall buf count")
+		first := len(bufs)
 		for b := uint64(0); b < nBufs && c.err == nil; b++ {
-			if buf := c.rleBytes("syscall buf"); c.err == nil {
-				sc.Bufs = append(sc.Bufs, buf)
+			if cap(tail) == 0 {
+				tail = make([]byte, 0, len(c.pay)-c.off)
 			}
+			buf, k, err := rle.DecodeBytes(tail, c.pay[c.off:])
+			if err != nil {
+				c.err = fmt.Errorf("%w: syscall buf: %w", ErrCorrupt, err)
+				break
+			}
+			c.off += k
+			bufs = append(bufs, buf[:len(buf):len(buf)])
+			tail = buf[len(buf):]
 		}
 		if c.err == nil {
+			if len(bufs) > first {
+				sc.Bufs = bufs[first:len(bufs):len(bufs)]
+			}
 			dst = append(dst, sc)
 		}
 	}

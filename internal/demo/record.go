@@ -2,6 +2,7 @@ package demo
 
 import (
 	"sync"
+	"time"
 )
 
 // Recorder accumulates the constraint streams of an execution being
@@ -14,26 +15,25 @@ import (
 // "never scheduled again") so that a thread scheduled many times in
 // succession yields a run of 1s, which the RLE coder collapses.
 //
-// A Recorder built with NewStreamingRecorder additionally spools every
-// stream to an append-only v2 container on disk as the run executes (see
-// stream.go); the in-memory slices then hold only the window not yet
-// flushed, so arbitrarily long recordings run in bounded memory and the
-// recording of a crashing run survives the crash.
+// Every Recorder is the v2 stream writer (stream.go). One built with
+// NewStreamingRecorder spools its streams to an append-only file as the
+// run executes, so the in-memory slices hold only the window not yet
+// flushed, arbitrarily long recordings run in bounded memory and the
+// recording of a crashing run survives the crash. One built with
+// NewRecorder has no file: it never flushes, and Finish or Discard decodes
+// its one final batch from memory.
 type Recorder struct {
-	mu       sync.Mutex
+	mu       sync.Mutex // guards the windows, spools, latch and bases
 	strategy Strategy
 	seed1    uint64
 	seed2    uint64
 
-	// Queue-stream accumulation state, all indexed densely: TIDs are
-	// assigned densely from 0 and NoteSchedule runs once per tick, so the
-	// hot path is two slice stores and an amortised append — no map
-	// lookups, no per-tick reallocation. A zero in queueFirst/lastTick
-	// means "never scheduled" (ticks are 1-based).
-	//
-	// When streaming, queueDelta is a window: index i holds the delta for
-	// absolute slot stream.deltaBase+i, and flushed slots are shifted out.
-	queueFirst []uint64 // tid -> first tick
+	// Queue-stream accumulation state, indexed densely: TIDs are assigned
+	// densely from 0 and NoteSchedule runs once per tick, so the hot path
+	// is two slice stores and an amortised append — no map lookups, no
+	// per-tick reallocation. queueDelta is a window: index i holds the
+	// delta for absolute slot deltaBase+i, and flushed slots are shifted
+	// out. A zero in lastTick means "never scheduled" (ticks are 1-based).
 	queueDelta []uint64 // slot - deltaBase -> delta to the thread's next tick
 	lastTick   []uint64 // tid -> most recent tick
 
@@ -50,14 +50,52 @@ type Recorder struct {
 	// still hashes to 0 on disk, preserving every existing demo.
 	hashInited bool
 
-	// stream is non-nil for streaming recorders. It is set once before
-	// the Recorder is shared and never mutated, so nil checks outside the
-	// mutex are safe.
-	stream *streamState
+	// Latch: the newest point at which the recording may be cut and still
+	// be a consistent prefix, updated at every tick.
+	footTick uint64
+	footHash uint64
+	sigN     int // absolute SIGNAL count at the latch
+	asyncN   int
+	sysN     int
+
+	// Absolute base offsets of the windows: entries below the base are
+	// already flushed.
+	deltaBase uint64
+	sigBase   int
+	asyncBase int
+	sysBase   int
+
+	// Spools feeding the next queue chunk.
+	firsts  []firstEntry
+	patches []patchEntry
+
+	// path and opts are set before the Recorder is shared and never
+	// change. Everything after them belongs to whoever holds flushMu: the
+	// timed flush, Flush, Close, Discard or Finish.
+	path    string // "" for a recorder without a file
+	opts    StreamOptions
+	flushMu sync.Mutex
+	// f is nil until the recording spills.
+	f StreamFile
+	// timer runs the timed flush; it re-arms itself after each one. It is
+	// nil for a recorder without a file.
+	timer *time.Timer
+	// werr is the first write, sync, spill or close error. It is sticky:
+	// nothing more is written, and Flush, Close and Discard report it.
+	werr error
+	// ended is set by Close or Discard.
+	ended bool
+
+	// Reused buffers for cutting and encoding a batch.
+	enc            []byte
+	pay            []byte
+	scratch        batch
+	lastFooterTick uint64
 }
 
-// NewRecorder returns an in-memory Recorder for the given strategy and
-// PRNG seeds; Finish freezes it into a Demo.
+// NewRecorder returns a Recorder for the given strategy and PRNG seeds
+// that keeps its recording in memory; Finish or Discard decodes it into a
+// Demo.
 func NewRecorder(s Strategy, seed1, seed2 uint64) *Recorder {
 	return &Recorder{
 		strategy: s,
@@ -69,22 +107,18 @@ func NewRecorder(s Strategy, seed1, seed2 uint64) *Recorder {
 // NoteSchedule records that thread tid executed the critical section with
 // (1-based) tick number tick. Only meaningful for the queue strategy; the
 // random strategy's schedule is implied by the seeds, so callers skip this
-// (and call NoteTick instead when streaming).
+// and call NoteTick instead.
 func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	base := uint64(0)
-	if r.stream != nil {
-		base = r.stream.deltaBase
-	}
-	need := tick - base // window length covering slot tick-1
+	need := tick - r.deltaBase // window length covering slot tick-1
 	if uint64(cap(r.queueDelta)) < need {
 		grown := make([]uint64, need, growCap(cap(r.queueDelta), need))
 		copy(grown, r.queueDelta)
 		r.queueDelta = grown
 	} else if uint64(len(r.queueDelta)) < need {
-		// Zero the extension explicitly: after a streaming flush shifts
-		// the window down, the backing array's tail holds stale deltas.
+		// Zero the extension explicitly: after a flush shifts the window
+		// down, the backing array's tail holds stale deltas.
 		old := len(r.queueDelta)
 		r.queueDelta = r.queueDelta[:need]
 		for i := old; i < int(need); i++ {
@@ -93,40 +127,27 @@ func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	}
 	for int(tid) >= len(r.lastTick) {
 		r.lastTick = append(r.lastTick, 0)
-		r.queueFirst = append(r.queueFirst, 0)
 	}
-	if last := r.lastTick[tid]; last != 0 {
-		if slot := last - 1; slot >= base {
-			r.queueDelta[slot-base] = tick - last
-		} else {
-			// The thread's previous slot was already flushed: emit a
-			// backfill patch in the next chunk. A reader that never sees
-			// the patch (the file was cut before it) keeps the slot's 0,
-			// which correctly means "never scheduled again within that
-			// shorter prefix".
-			r.stream.patches = append(r.stream.patches, patchEntry{slot: slot, delta: tick - last})
-		}
+	if last := r.lastTick[tid]; last == 0 {
+		r.firsts = append(r.firsts, firstEntry{tid: tid, tick: tick})
+	} else if slot := last - 1; slot >= r.deltaBase {
+		r.queueDelta[slot-r.deltaBase] = tick - last
 	} else {
-		r.queueFirst[tid] = tick
-		if r.stream != nil {
-			r.stream.firsts = append(r.stream.firsts, firstEntry{tid: tid, tick: tick})
-		}
+		// The thread's previous slot was already flushed: emit a backfill
+		// patch in the next chunk. A reader that never sees the patch (the
+		// file was cut before it) keeps the slot's 0, which correctly
+		// means "never scheduled again within that shorter prefix".
+		r.patches = append(r.patches, patchEntry{slot: slot, delta: tick - last})
 	}
 	r.lastTick[tid] = tick
-	if r.stream != nil {
-		r.latchLocked(tick)
-	}
+	r.latchLocked(tick)
 }
 
 // NoteTick latches tick as the latest completed critical section for the
-// streaming writer's footer candidates. Strategies whose schedule is
-// implied by the seeds (everything except queue, whose NoteSchedule
-// already latches) call this once per tick when streaming; it is a no-op
-// for in-memory recorders.
+// writer's footer candidates. Strategies whose schedule is implied by the
+// seeds (everything except queue, whose NoteSchedule already latches)
+// call this once per tick.
 func (r *Recorder) NoteTick(tick uint64) {
-	if r.stream == nil {
-		return
-	}
 	r.mu.Lock()
 	r.latchLocked(tick)
 	r.mu.Unlock()
@@ -153,16 +174,13 @@ func growCap(cur int, need uint64) int {
 }
 
 // AddSignal appends a SIGNAL stream entry and returns its stream index
-// (the offset trace events carry). Indices are global across streaming
-// flushes: entries already written to disk still count.
+// (the offset trace events carry). Indices are global across flushes:
+// entries already written to disk still count.
 func (r *Recorder) AddSignal(ev SignalEvent) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.signals = append(r.signals, ev)
-	if st := r.stream; st != nil {
-		return st.sigBase + len(r.signals) - 1
-	}
-	return len(r.signals) - 1
+	return r.sigBase + len(r.signals) - 1
 }
 
 // AddAsync appends an ASYNC stream entry and returns its stream index.
@@ -170,10 +188,7 @@ func (r *Recorder) AddAsync(ev AsyncEvent) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.asyncs = append(r.asyncs, ev)
-	if st := r.stream; st != nil {
-		return st.asyncBase + len(r.asyncs) - 1
-	}
-	return len(r.asyncs) - 1
+	return r.asyncBase + len(r.asyncs) - 1
 }
 
 // AddSyscall appends a SYSCALL stream entry and returns its stream index.
@@ -181,10 +196,7 @@ func (r *Recorder) AddSyscall(rec SyscallRecord) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syscalls = append(r.syscalls, rec)
-	if st := r.stream; st != nil {
-		return st.sysBase + len(r.syscalls) - 1
-	}
-	return len(r.syscalls) - 1
+	return r.sysBase + len(r.syscalls) - 1
 }
 
 // MixOutput folds an observable output byte sequence into the output hash
@@ -221,46 +233,21 @@ func mixHash(h uint64, p []byte) uint64 {
 	return h
 }
 
-// SyscallCount reports the number of syscall records so far (including,
-// for streaming recorders, records already flushed to disk).
-func (r *Recorder) SyscallCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.stream; st != nil {
-		return st.sysBase + len(r.syscalls)
-	}
-	return len(r.syscalls)
-}
-
-// Finish freezes the recording into a Demo. finalTick is the scheduler's
-// tick counter at termination. Finish is only meaningful for in-memory
-// recorders; a streaming recorder's flushed prefix is no longer in memory,
-// so its demo is obtained by Close followed by ReadFile on the stream
-// path.
+// Finish returns the recording as a Demo; finalTick is the scheduler's
+// tick counter at termination. It is the demo Discard would return, but
+// Finish neither ends nor cuts the recording, so it may be called again.
+// Finish is only meaningful for a recorder without a file; a streaming
+// recorder's flushed prefix is no longer in memory, so its demo is
+// obtained by Close followed by ReadFile on the stream path.
 func (r *Recorder) Finish(finalTick uint64) *Demo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stream != nil {
+	if r.path != "" {
 		panic("demo: Finish called on a streaming Recorder; Close it and read the demo back from its file")
 	}
-	d := &Demo{
-		Strategy:   r.strategy,
-		Seed1:      r.seed1,
-		Seed2:      r.seed2,
-		FinalTick:  finalTick,
-		Signals:    append([]SignalEvent(nil), r.signals...),
-		Asyncs:     append([]AsyncEvent(nil), r.asyncs...),
-		Syscalls:   append([]SyscallRecord(nil), r.syscalls...),
-		OutputHash: r.outputHash,
-	}
-	if r.strategy == StrategyQueue {
-		d.Queue.FirstTick = make(map[int32]uint64)
-		for tid, t := range r.queueFirst {
-			if t != 0 {
-				d.Queue.FirstTick[int32(tid)] = t
-			}
-		}
-		d.Queue.Ticks = append([]uint64(nil), r.queueDelta...)
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	d, err := r.decodeLocked(finalTick)
+	if err != nil {
+		panic("demo: an in-memory recording does not decode: " + err.Error())
 	}
 	return d
 }

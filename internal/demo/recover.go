@@ -188,7 +188,11 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 			if c.err == nil && start != uint64(len(ticks)) {
 				return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, len(ticks))
 			}
-			ticks = append(ticks, c.rleUint64s("queue chunk deltas")...)
+			if deltas := c.rleUint64s("queue chunk deltas"); ticks == nil {
+				ticks = deltas // the stream's first chunk: keep it, uncopied
+			} else {
+				ticks = append(ticks, deltas...)
+			}
 			d.Queue.FirstTick = c.firstTicks(d.Queue.FirstTick)
 			nPatches := c.uvarint("queue chunk patch count")
 			for i := uint64(0); i < nPatches && c.err == nil; i++ {

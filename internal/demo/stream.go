@@ -8,10 +8,10 @@
 // self-delimiting chunks, each `type | uvarint length | payload | crc32`.
 // Chunk types:
 //
-//   - queue  — a contiguous segment of the QUEUE delta stream (start slot
-//     plus RLE deltas), new first-tick entries, and backfill patches for
-//     already-flushed slots whose "next tick" only became known later. A
-//     reader that never sees a patch keeps the slot's 0, which correctly
+//   - queue  — a contiguous segment of at most 1Mi QUEUE deltas (start
+//     slot plus RLE deltas), new first-tick entries, and backfill patches
+//     for already-flushed slots whose "next tick" only became known later.
+//     A reader that never sees a patch keeps the slot's 0, which correctly
 //     means "never scheduled again within that shorter prefix".
 //   - events — the SIGNAL/ASYNC/SYSCALL records accumulated since the
 //     previous flush, written by the record codec the v1 sections use
@@ -30,9 +30,9 @@
 // consistent prefix of the execution.
 //
 // The hot path (NoteSchedule/Add*) only appends to in-memory windows; a
-// self-re-arming timer drains the windows into encoded chunks every flush
-// interval, double-buffering through reused scratch slices so the steady
-// state allocates nothing.
+// self-re-arming timer cuts the windows into a reused scratch batch and
+// encodes it into chunks every flush interval, so the steady state
+// allocates nothing.
 //
 // Spilling: the file does not exist until the recording first needs it.
 // The header waits in memory until the first flush — timed, an explicit
@@ -41,9 +41,10 @@
 // appends as usual, so the bytes on disk do not depend on when the spill
 // happened. A run that ends before its first timed flush and is
 // discarded (Discard) never touches the disk at all: its one final batch
-// is decoded from memory. Crash safety is unchanged by the delay, since
-// a header-only file holds no recoverable prefix. Recovery of torn files
-// is in recover.go.
+// is decoded from memory. A recorder without a file (NewRecorder) arms no
+// timer and never spills, so Finish and Discard always take that path.
+// Crash safety is unchanged by the delay, since a header-only file holds
+// no recoverable prefix. Recovery of torn files is in recover.go.
 //
 //tsanrec:external host-side recording infrastructure: the timed flush drains spools on a wall-clock timer outside the controlled scheduler
 package demo
@@ -56,7 +57,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/rle"
@@ -86,7 +87,7 @@ const defaultFlushInterval = 25 * time.Millisecond
 // StreamOptions configures a streaming recorder.
 type StreamOptions struct {
 	// FlushInterval is the timed flush period (0 = 25ms). Each flush
-	// appends at most one queue chunk, one events chunk and one footer.
+	// appends one batch: queue chunks, an events chunk and a footer.
 	FlushInterval time.Duration
 	// Fsync syncs the file after every non-final flush batch, extending
 	// crash safety from process death to power failure. Off by default:
@@ -122,56 +123,25 @@ type patchEntry struct {
 	delta uint64
 }
 
-// streamState is the streaming side of a Recorder. The latched cut state
-// and the spools are guarded by the Recorder's mutex; the file, the timer
-// and the scratch and encode buffers belong to whoever is inside flushMu
-// (the timed flush, Flush callers, Close or Discard).
-type streamState struct {
-	path string
-	opts StreamOptions
-	hdr  []byte // the v2 header, written when the recording spills
+// batch is one cut of a recording: the QUEUE segment from slot qStart, the
+// spooled first ticks and patches, the event records, and the footer's
+// tick and output hash.
+type batch struct {
+	qStart     uint64
+	deltas     []uint64
+	firsts     []firstEntry
+	patches    []patchEntry
+	sigs       []SignalEvent
+	asyncs     []AsyncEvent
+	sys        []SyscallRecord
+	tick, hash uint64
+}
 
-	// Latch: the newest point at which the file may be cut and still be
-	// a consistent prefix. Updated under Recorder.mu at every tick.
-	footTick uint64
-	footHash uint64
-	sigN     int // absolute SIGNAL count at the latch
-	asyncN   int
-	sysN     int
-
-	// Absolute base offsets of the in-memory windows: entries below the
-	// base are already on disk.
-	deltaBase uint64
-	sigBase   int
-	asyncBase int
-	sysBase   int
-
-	// Spools feeding the next queue chunk.
-	firsts  []firstEntry
-	patches []patchEntry
-
-	flushMu sync.Mutex
-	// f is nil until the recording spills.
-	f StreamFile
-	// timer runs the timed flush; it re-arms itself after each one.
-	timer *time.Timer
-	// werr is the first write, sync or spill error. It is sticky: nothing
-	// more is written, and Flush, Close and Discard report it.
-	werr error
-	// ended is set by Close or Discard; closeErr is Close's result.
-	ended    bool
-	closeErr error
-
-	// Double buffers for cutting and encoding a batch.
-	enc            []byte
-	pay            []byte
-	scratchDeltas  []uint64
-	scratchFirsts  []firstEntry
-	scratchPatches []patchEntry
-	scratchSigs    []SignalEvent
-	scratchAsyncs  []AsyncEvent
-	scratchSys     []SyscallRecord
-	lastFooterTick uint64
+// appendHeader appends the recording's v2 header to dst.
+func (r *Recorder) appendHeader(dst []byte) []byte {
+	dst = append(append(slices.Grow(dst, v2HeaderLen), magic2...), version2, byte(r.strategy))
+	dst = binary.LittleEndian.AppendUint64(dst, r.seed1)
+	return binary.LittleEndian.AppendUint64(dst, r.seed2)
 }
 
 // NewStreamingRecorder returns a Recorder that spools every stream to an
@@ -189,19 +159,13 @@ func NewStreamingRecorder(path string, s Strategy, seed1, seed2 uint64, opts Str
 	if err := clearPath(path); err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, v2HeaderLen)
-	hdr = append(hdr, magic2...)
-	hdr = append(hdr, version2, byte(s))
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed1)
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed2)
 	r := NewRecorder(s, seed1, seed2)
-	st := &streamState{path: path, opts: opts, hdr: hdr}
-	r.stream = st
+	r.path, r.opts = path, opts
 	// Publish the timer under flushMu: its first run, which re-arms it,
-	// takes flushMu before it reads st.timer.
-	st.flushMu.Lock()
-	st.timer = time.AfterFunc(opts.FlushInterval, r.timedFlush)
-	st.flushMu.Unlock()
+	// takes flushMu before it reads r.timer.
+	r.flushMu.Lock()
+	r.timer = time.AfterFunc(opts.FlushInterval, r.timedFlush)
+	r.flushMu.Unlock()
 	return r, nil
 }
 
@@ -225,75 +189,56 @@ func clearPath(path string) error {
 
 // spill creates the file and writes the header into it. Caller holds
 // flushMu.
-func (st *streamState) spill() error {
-	osf, err := os.OpenFile(st.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+func (r *Recorder) spill() error {
+	osf, err := os.OpenFile(r.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	st.f = osf
+	r.f = osf
 	if WrapStreamFile != nil {
-		st.f = WrapStreamFile(st.f)
+		r.f = WrapStreamFile(r.f)
 	}
-	_, err = st.f.Write(st.hdr)
+	_, err = r.f.Write(r.appendHeader(nil))
 	return err
-}
-
-// Streaming reports whether the recorder spools to disk.
-func (r *Recorder) Streaming() bool { return r.stream != nil }
-
-// StreamPath returns the streaming recorder's file path ("" for in-memory
-// recorders).
-func (r *Recorder) StreamPath() string {
-	if r.stream == nil {
-		return ""
-	}
-	return r.stream.path
 }
 
 // latchLocked records the newest consistent cut point. Caller holds r.mu.
 func (r *Recorder) latchLocked(tick uint64) {
-	st := r.stream
-	st.footTick = tick
-	st.footHash = r.outputHash
-	st.sigN = st.sigBase + len(r.signals)
-	st.asyncN = st.asyncBase + len(r.asyncs)
-	st.sysN = st.sysBase + len(r.syscalls)
+	r.footTick = tick
+	r.footHash = r.outputHash
+	r.sigN = r.sigBase + len(r.signals)
+	r.asyncN = r.asyncBase + len(r.asyncs)
+	r.sysN = r.sysBase + len(r.syscalls)
 }
 
-// Spilled reports whether a streaming recorder has created its file.
+// Spilled reports whether the recorder has created its file.
 func (r *Recorder) Spilled() bool {
-	st := r.stream
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
-	return st.f != nil
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	return r.f != nil
 }
 
 // timedFlush drains the spool, spilling first if need be, and re-arms
 // the timer. It stops for good once the recorder has ended or a write has
 // failed.
 func (r *Recorder) timedFlush() {
-	st := r.stream
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
-	if st.ended || st.werr != nil {
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	if r.ended || r.werr != nil {
 		return
 	}
 	if r.flushLocked(false, 0) == nil {
-		st.timer.Reset(st.opts.FlushInterval)
+		r.timer.Reset(r.opts.FlushInterval)
 	}
 }
 
 // Flush synchronously drains everything recorded up to the latest
 // completed tick into the file, spilling first if need be, and ends with
 // a footer candidate. Exposed for tests and for callers that want a
-// durable cut at a known point.
+// durable cut at a known point. A recorder without a file does nothing.
 func (r *Recorder) Flush() error {
-	st := r.stream
-	if st == nil {
-		return nil
-	}
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
 	return r.flushLocked(false, 0)
 }
 
@@ -303,198 +248,196 @@ func (r *Recorder) Flush() error {
 // must not be used after Close; a second Close returns the first one's
 // result.
 func (r *Recorder) Close(finalTick uint64) error {
-	st := r.stream
-	if st == nil {
-		return nil
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	if r.end() {
+		if err := r.finishLocked(finalTick, true); r.werr == nil {
+			r.werr = err
+		}
 	}
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
-	if st.end() {
-		st.closeErr = r.finishLocked(finalTick, true)
-	}
-	return st.closeErr
+	return r.werr
 }
 
 // Discard ends a recording the caller does not keep and returns its demo,
 // the one Close followed by ReadFile would give. A recording that never
-// spilled is decoded from memory and never touches the disk. One that
-// did is finished like Close but without the sync, read back and
-// deleted. On success nothing is left at the path; on error Discard
-// returns no demo and leaves any file that spilled in place. Only
-// streaming recorders have Discard, and they must not be used after it.
+// spilled, which includes every recording without a file, is decoded from
+// memory as Finish does and never touches the disk. One that did is
+// finished like Close but without the sync, read back and deleted. On
+// success nothing is left at the path; on error Discard returns no demo
+// and leaves any file that spilled in place. The recorder must not be
+// used after Discard.
 func (r *Recorder) Discard(finalTick uint64) (*Demo, error) {
-	st := r.stream
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
-	if !st.end() {
-		return nil, errors.New("demo: Discard of an ended stream recorder")
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	if !r.end() {
+		return nil, errors.New("demo: Discard of an ended recorder")
 	}
-	if st.f == nil && st.werr == nil {
-		// The header and one final batch are the whole recording.
-		st.enc = r.appendBatch(append(st.enc[:0], st.hdr...), true, finalTick)
-		return DecodeStream(st.enc)
+	if r.f == nil && r.werr == nil {
+		return r.decodeLocked(finalTick)
 	}
 	if err := r.finishLocked(finalTick, false); err != nil {
 		return nil, err
 	}
-	d, err := ReadFile(st.path)
+	d, err := ReadFile(r.path)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.Remove(st.path); err != nil {
+	if err := os.Remove(r.path); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
+// decodeLocked encodes the header and one final batch straight from the
+// windows, without cutting them, and decodes the bytes with DecodeStream,
+// as ReadFile would decode the file. Caller holds flushMu, and the
+// recording has not spilled.
+func (r *Recorder) decodeLocked(finalTick uint64) (*Demo, error) {
+	r.mu.Lock()
+	b := r.pending(true, finalTick)
+	r.enc = r.appendBatch(r.appendHeader(r.enc[:0]), &b, true)
+	r.mu.Unlock()
+	return DecodeStream(r.enc)
+}
+
 // end stops the timed flush and marks the recorder ended, reporting
 // whether it was still running. Caller holds flushMu, so a timed flush
 // that fired concurrently finds ended set and writes nothing.
-func (st *streamState) end() bool {
-	if st.ended {
+func (r *Recorder) end() bool {
+	if r.ended {
 		return false
 	}
-	st.ended = true
-	st.timer.Stop()
+	r.ended = true
+	if r.timer != nil {
+		r.timer.Stop()
+	}
 	return true
 }
 
 // finishLocked writes the final batch, seals the file with one sync if
 // seal is set, and closes it. Caller holds flushMu.
 func (r *Recorder) finishLocked(finalTick uint64, seal bool) error {
-	st := r.stream
 	err := r.flushLocked(true, finalTick)
-	if st.f == nil {
+	if r.f == nil {
 		return err
 	}
 	if err == nil && seal {
-		err = st.f.Sync()
+		err = r.f.Sync()
 	}
-	if cerr := st.f.Close(); err == nil {
+	if cerr := r.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// flushLocked appends one chunk batch to the file, spilling first if the
-// recording is still in memory. Once a write, sync or spill fails, it
-// writes nothing more and returns that first error. Caller holds flushMu.
+// flushLocked cuts one batch from the windows and appends it to the file,
+// spilling first if the recording is still in memory. A recorder without
+// a file writes nothing. Once a write, sync or spill fails, it writes
+// nothing more and returns that first error. Caller holds flushMu.
 func (r *Recorder) flushLocked(final bool, finalTick uint64) error {
-	st := r.stream
-	if st.werr != nil {
-		return st.werr
+	if r.werr != nil || r.path == "" {
+		return r.werr
 	}
-	enc := r.appendBatch(st.enc[:0], final, finalTick)
-	if enc == nil {
+	r.mu.Lock()
+	b := r.cutLocked(final, finalTick)
+	r.mu.Unlock()
+	if !final && b.tick == r.lastFooterTick &&
+		len(b.deltas)+len(b.firsts)+len(b.patches)+len(b.sigs)+len(b.asyncs)+len(b.sys) == 0 {
 		return nil // nothing new since the previous footer
 	}
-	st.enc = enc
-	if st.f == nil {
-		st.werr = st.spill()
+	r.lastFooterTick = b.tick
+	r.enc = r.appendBatch(r.enc[:0], b, final)
+	if r.f == nil {
+		r.werr = r.spill()
 	}
-	if st.werr == nil {
-		_, st.werr = st.f.Write(st.enc)
+	if r.werr == nil {
+		_, r.werr = r.f.Write(r.enc)
 	}
-	if st.werr == nil && st.opts.Fsync && !final {
-		st.werr = st.f.Sync()
+	if r.werr == nil && r.opts.Fsync && !final {
+		r.werr = r.f.Sync()
 	}
-	return st.werr
+	return r.werr
 }
 
-// appendBatch cuts the spool at the current latch and appends one chunk
-// batch, [queue][events][footer], to dst. It returns nil instead when a
-// non-final cut finds nothing new since the previous footer. The cut
-// itself runs under the recorder's mutex and only copies into reused
-// scratch buffers; encoding happens outside it. Caller holds flushMu.
-func (r *Recorder) appendBatch(dst []byte, final bool, finalTick uint64) []byte {
-	st := r.stream
-	r.mu.Lock()
-	ft, fh := st.footTick, st.footHash
-	sigN, asyncN, sysN := st.sigN, st.asyncN, st.sysN
+// pending returns the batch a cut would take now: everything from the
+// windows' bases up to the latch or, for the final cut (Close, Discard,
+// Finish), everything recorded, with a footer tick of at least finalTick:
+// no more events can arrive, so "now" is a consistent cut. Its slices
+// alias the windows. Caller holds r.mu.
+func (r *Recorder) pending(final bool, finalTick uint64) batch {
+	b := batch{qStart: r.deltaBase, firsts: r.firsts, patches: r.patches, tick: r.footTick, hash: r.footHash}
+	sigN, asyncN, sysN := r.sigN-r.sigBase, r.asyncN-r.asyncBase, r.sysN-r.sysBase
 	if final {
-		// The final cut (Close, Discard) takes everything, not just the
-		// latched prefix: no more events can arrive, so "now" is a
-		// consistent cut.
-		if finalTick > ft {
-			ft = finalTick
-		}
-		fh = r.outputHash
-		sigN = st.sigBase + len(r.signals)
-		asyncN = st.asyncBase + len(r.asyncs)
-		sysN = st.sysBase + len(r.syscalls)
+		b.tick, b.hash = max(b.tick, finalTick), r.outputHash
+		sigN, asyncN, sysN = len(r.signals), len(r.asyncs), len(r.syscalls)
 	}
-	// Queue segment: slots [deltaBase, ft). At a latch the window length
-	// is exactly ft-deltaBase (NoteSchedule extends and latches together),
+	// The queue segment is slots [deltaBase, tick). At a latch the window
+	// is exactly that long (NoteSchedule extends and latches together),
 	// but clamp defensively.
-	qStart := st.deltaBase
-	nd := 0
-	if r.strategy == StrategyQueue && ft > st.deltaBase {
-		nd = int(ft - st.deltaBase)
-		if nd > len(r.queueDelta) {
-			nd = len(r.queueDelta)
-		}
-		st.scratchDeltas = append(st.scratchDeltas[:0], r.queueDelta[:nd]...)
-		keep := copy(r.queueDelta, r.queueDelta[nd:])
-		// Zero the vacated tail so future window extensions (which
-		// reslice over it) see zeros, preserving the "unwritten slot
-		// means never rescheduled" invariant.
-		for i := keep; i < len(r.queueDelta); i++ {
-			r.queueDelta[i] = 0
-		}
-		r.queueDelta = r.queueDelta[:keep]
-		st.deltaBase += uint64(nd)
+	if b.tick > r.deltaBase {
+		b.deltas = r.queueDelta[:min(b.tick-r.deltaBase, uint64(len(r.queueDelta)))]
 	}
-	st.scratchFirsts = append(st.scratchFirsts[:0], st.firsts...)
-	st.firsts = st.firsts[:0]
-	st.scratchPatches = append(st.scratchPatches[:0], st.patches...)
-	st.patches = st.patches[:0]
-	cutSigs := sigN - st.sigBase
-	st.scratchSigs = append(st.scratchSigs[:0], r.signals[:cutSigs]...)
-	r.signals = r.signals[:copy(r.signals, r.signals[cutSigs:])]
-	st.sigBase = sigN
-	cutAsyncs := asyncN - st.asyncBase
-	st.scratchAsyncs = append(st.scratchAsyncs[:0], r.asyncs[:cutAsyncs]...)
-	r.asyncs = r.asyncs[:copy(r.asyncs, r.asyncs[cutAsyncs:])]
-	st.asyncBase = asyncN
-	cutSys := sysN - st.sysBase
-	st.scratchSys = append(st.scratchSys[:0], r.syscalls[:cutSys]...)
-	r.syscalls = r.syscalls[:copy(r.syscalls, r.syscalls[cutSys:])]
-	st.sysBase = sysN
-	r.mu.Unlock()
+	b.sigs, b.asyncs, b.sys = r.signals[:sigN], r.asyncs[:asyncN], r.syscalls[:sysN]
+	return b
+}
 
-	haveQueue := nd > 0 || len(st.scratchFirsts) > 0 || len(st.scratchPatches) > 0
-	haveEvents := len(st.scratchSigs) > 0 || len(st.scratchAsyncs) > 0 || len(st.scratchSys) > 0
-	if !haveQueue && !haveEvents && ft == st.lastFooterTick && !final {
-		return nil
-	}
-	st.lastFooterTick = ft
+// cutLocked copies the pending batch into the reused scratch batch and
+// shifts it out of the windows, so that encoding can run outside r.mu.
+// Caller holds r.mu and flushMu.
+func (r *Recorder) cutLocked(final bool, finalTick uint64) *batch {
+	b, s := r.pending(final, finalTick), &r.scratch
+	s.qStart, s.tick, s.hash = b.qStart, b.tick, b.hash
+	s.deltas = append(s.deltas[:0], b.deltas...)
+	s.firsts = append(s.firsts[:0], b.firsts...)
+	s.patches = append(s.patches[:0], b.patches...)
+	s.sigs = append(s.sigs[:0], b.sigs...)
+	s.asyncs = append(s.asyncs[:0], b.asyncs...)
+	s.sys = append(s.sys[:0], b.sys...)
+	r.queueDelta = r.queueDelta[:copy(r.queueDelta, r.queueDelta[len(b.deltas):])]
+	r.deltaBase += uint64(len(b.deltas))
+	r.firsts, r.patches = r.firsts[:0], r.patches[:0]
+	r.signals = r.signals[:copy(r.signals, r.signals[len(b.sigs):])]
+	r.asyncs = r.asyncs[:copy(r.asyncs, r.asyncs[len(b.asyncs):])]
+	r.syscalls = r.syscalls[:copy(r.syscalls, r.syscalls[len(b.sys):])]
+	r.sigBase += len(b.sigs)
+	r.asyncBase += len(b.asyncs)
+	r.sysBase += len(b.sys)
+	return s
+}
 
-	if haveQueue {
-		st.pay = binary.AppendUvarint(st.pay[:0], qStart)
-		st.pay = rle.AppendUint64s(st.pay, st.scratchDeltas)
-		st.pay = appendFirsts(st.pay, st.scratchFirsts)
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchPatches)))
-		for _, pe := range st.scratchPatches {
-			st.pay = binary.AppendUvarint(st.pay, pe.slot)
-			st.pay = binary.AppendUvarint(st.pay, pe.delta)
+// appendBatch encodes b as one chunk batch, [queue...][events][footer],
+// and appends it to dst. The QUEUE segment goes into chunks of at most
+// rle.DecodeFloor deltas, so every chunk decodes however long one thread
+// runs alone; the first carries the batch's first ticks and patches, and
+// a batch with no QUEUE entries has no queue chunk. Caller holds flushMu.
+func (r *Recorder) appendBatch(dst []byte, b *batch, final bool) []byte {
+	firsts, patches := b.firsts, b.patches
+	for at := 0; at < len(b.deltas) || len(firsts)+len(patches) > 0; {
+		end := min(at+rle.DecodeFloor, len(b.deltas))
+		r.pay = binary.AppendUvarint(r.pay[:0], b.qStart+uint64(at))
+		r.pay = rle.AppendUint64s(r.pay, b.deltas[at:end])
+		r.pay = appendFirsts(r.pay, firsts)
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(patches)))
+		for _, pe := range patches {
+			r.pay = binary.AppendUvarint(r.pay, pe.slot)
+			r.pay = binary.AppendUvarint(r.pay, pe.delta)
 		}
-		dst = appendChunk(dst, chunkQueue, st.pay)
+		dst = appendChunk(dst, chunkQueue, r.pay)
+		at, firsts, patches = end, nil, nil
 	}
-	if haveEvents {
-		st.pay = appendSignals(st.pay[:0], st.scratchSigs)
-		st.pay = appendAsyncs(st.pay, st.scratchAsyncs)
-		st.pay = appendSyscalls(st.pay, st.scratchSys)
-		dst = appendChunk(dst, chunkEvents, st.pay)
+	if len(b.sigs)+len(b.asyncs)+len(b.sys) > 0 {
+		r.pay = appendSignals(r.pay[:0], b.sigs)
+		r.pay = appendAsyncs(r.pay, b.asyncs)
+		r.pay = appendSyscalls(r.pay, b.sys)
+		dst = appendChunk(dst, chunkEvents, r.pay)
 	}
-	st.pay = st.pay[:0]
 	var flags byte
 	if final {
-		flags |= footerFinal
+		flags = footerFinal
 	}
-	st.pay = append(st.pay, flags)
-	st.pay = binary.AppendUvarint(st.pay, ft)
-	st.pay = binary.LittleEndian.AppendUint64(st.pay, fh)
-	return appendChunk(dst, chunkFooter, st.pay)
+	r.pay = binary.AppendUvarint(append(r.pay[:0], flags), b.tick)
+	r.pay = binary.LittleEndian.AppendUint64(r.pay, b.hash)
+	return appendChunk(dst, chunkFooter, r.pay)
 }
 
 // appendChunk frames one chunk: type byte, uvarint payload length, the

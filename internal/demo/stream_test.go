@@ -1,7 +1,6 @@
 package demo
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,57 +43,6 @@ func newStreamRecorder(t *testing.T) (*Recorder, string) {
 		t.Fatal(err)
 	}
 	return r, path
-}
-
-// TestStreamingMatchesInMemory: the demo read back from a streamed file is
-// identical to what an in-memory recorder fed the same events freezes.
-func TestStreamingMatchesInMemory(t *testing.T) {
-	const n = 200
-	mem := NewRecorder(StrategyQueue, 11, 22)
-	final := feedRecorder(mem, n)
-	want := mem.Finish(final)
-
-	sr, path := newStreamRecorder(t)
-	// Flush mid-stream several times so the file holds multiple chunk
-	// batches and the windows actually shift.
-	for start := 0; start < n; start += 64 {
-		end := start + 64
-		if end > n {
-			end = n
-		}
-		for tick := start + 1; tick <= end; tick++ {
-			tid := int32((tick - 1) % 3)
-			sr.NoteSchedule(tid, uint64(tick))
-			switch tick % 7 {
-			case 2:
-				sr.AddSignal(SignalEvent{TID: tid, Tick: uint64(tick), Sig: 15})
-			case 3:
-				sr.AddAsync(AsyncEvent{Kind: AsyncReschedule, Tick: uint64(tick), TID: tid})
-			case 5:
-				sr.AddSyscall(SyscallRecord{TID: tid, Kind: 3, Ret: int64(tick), Bufs: [][]byte{{byte(tick)}}})
-			}
-			if tick%4 == 0 {
-				sr.MixOutput([]byte{byte(tick)})
-			}
-		}
-		if err := sr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sr.Close(final); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed demo differs from in-memory demo:\n got %+v\nwant %+v", got, want)
-	}
-	// And the canonical v1 encodings agree byte for byte.
-	if !bytes.Equal(got.Encode(), want.Encode()) {
-		t.Fatal("v1 encodings differ")
-	}
 }
 
 // syncCounter counts the syncs of the stream file it wraps.
@@ -180,10 +128,10 @@ func TestDiscardSkipsTheSeal(t *testing.T) {
 	}
 }
 
-// TestStreamPathChecks: a missing directory or a directory at the path is
-// rejected up front and left as it was; a stale file at the path is
-// removed before the recording starts.
-func TestStreamPathChecks(t *testing.T) {
+// TestStreamingRecorderChecksPath: a missing directory or a directory at
+// the path is rejected up front and left as it was; a stale file at the
+// path is removed before the recording starts.
+func TestStreamingRecorderChecksPath(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := NewStreamingRecorder(filepath.Join(dir, "missing", "x.demo2"), StrategyQueue, 1, 2, StreamOptions{}); err == nil {
 		t.Error("path in a missing directory accepted")
@@ -225,16 +173,12 @@ func TestStreamingAddIndicesStayGlobal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.SyscallCount(); got != 0 {
-		t.Fatalf("SyscallCount = %d", got)
+	if got := r.AddSyscall(SyscallRecord{TID: 0, Kind: 1}); got != 0 {
+		t.Fatalf("first AddSyscall returned %d", got)
 	}
-	r.AddSyscall(SyscallRecord{TID: 0, Kind: 1})
 	r.Flush()
 	if got := r.AddSyscall(SyscallRecord{TID: 0, Kind: 2}); got != 1 {
 		t.Fatalf("AddSyscall after flush returned %d, want 1", got)
-	}
-	if got := r.SyscallCount(); got != 2 {
-		t.Fatalf("SyscallCount = %d, want 2", got)
 	}
 	r.Close(5)
 }
@@ -473,4 +417,61 @@ func TestFinishPanicsOnStreamingRecorder(t *testing.T) {
 		}
 	}()
 	r.Finish(0)
+}
+
+// TestFinishIsRepeatable: Finish neither cuts nor ends an in-memory
+// recording, so a second call returns the demo the first did, and the
+// recording still ends with the same demo through Discard.
+func TestFinishIsRepeatable(t *testing.T) {
+	r := NewRecorder(StrategyQueue, 11, 22)
+	final := feedRecorder(r, 300)
+	first := r.Finish(final)
+	if second := r.Finish(final); !reflect.DeepEqual(first, second) {
+		t.Fatalf("second Finish differs:\n got %+v\nwant %+v", second, first)
+	}
+	if len(first.Queue.Ticks) != int(final) || len(first.Syscalls) == 0 {
+		t.Fatalf("Finish lost part of the recording: %d ticks, %d syscalls", len(first.Queue.Ticks), len(first.Syscalls))
+	}
+	d, err := r.Discard(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d, first) {
+		t.Fatal("Discard's demo differs from Finish's")
+	}
+}
+
+// TestStreamingSteadyStateAllocatesNothing: once its windows and buffers
+// have grown, a streaming recorder records a flush interval's worth of
+// ticks and events and flushes them without allocating, since every
+// allocation on the record path is paid inside a critical section.
+func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
+	r, _ := newStreamRecorder(t)
+	defer r.Close(0)
+	rec := SyscallRecord{TID: 1, Kind: 3, Ret: 8, Bufs: [][]byte{[]byte("response")}}
+	tick := uint64(0)
+	interval := func() {
+		for i := 0; i < 4096; i++ {
+			tick++
+			tid := int32(tick % 4)
+			r.NoteSchedule(tid, tick)
+			switch tick % 64 {
+			case 1:
+				r.AddSignal(SignalEvent{TID: tid, Tick: tick, Sig: 10})
+			case 2:
+				r.AddAsync(AsyncEvent{Kind: AsyncReschedule, Tick: tick, TID: tid})
+			case 3:
+				r.AddSyscall(rec)
+			}
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		interval()
+	}
+	if n := testing.AllocsPerRun(50, interval); n != 0 {
+		t.Fatalf("a recorded and flushed interval allocates %v times, want 0", n)
+	}
 }

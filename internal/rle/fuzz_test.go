@@ -11,7 +11,7 @@ func FuzzDecodeBytes(f *testing.F) {
 	f.Add(AppendBytes(nil, bytes.Repeat([]byte{0xFF}, 100)))
 	f.Add([]byte{0x80, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, n, err := DecodeBytes(data)
+		dec, n, err := DecodeBytes(nil, data)
 		if err != nil {
 			return
 		}
@@ -20,7 +20,7 @@ func FuzzDecodeBytes(f *testing.F) {
 		}
 		// Re-encoding the decoded payload must round trip.
 		enc := AppendBytes(nil, dec)
-		dec2, _, err := DecodeBytes(enc)
+		dec2, _, err := DecodeBytes(nil, enc)
 		if err != nil || !bytes.Equal(dec, dec2) {
 			t.Fatal("canonical round trip failed")
 		}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorrupt is returned when an encoded stream cannot be decoded.
@@ -51,18 +52,18 @@ func countRuns(vals []uint64) int {
 }
 
 // maxExpansion bounds how many decoded items one byte of a stream's
-// canonical encoding may stand for, and decodeFloor is the allowance every
+// canonical encoding may stand for, and DecodeFloor is the allowance every
 // stream gets regardless of size. Together they cap a decoder's output at
-// max(decodeFloor, maxExpansion*n) items for an n-byte canonical encoding,
+// max(DecodeFloor, maxExpansion*n) items for an n-byte canonical encoding,
 // and the decoders allocate only once a whole stream has been checked
 // against that cap, so a handful of corrupt bytes claiming a multi-GiB run
-// is rejected without allocating. Recorded streams sit far below the
-// bound, with one exception: a stream of a few runs totalling over 1Mi
-// items (a thread scheduled alone for that many ticks) exceeds it and does
-// not decode.
+// is rejected without allocating. A stream of a few runs totalling over
+// 1Mi items (a thread scheduled alone for that many ticks) exceeds the
+// bound, so a writer that must be read back puts at most DecodeFloor items
+// in one stream.
 const (
 	maxExpansion = 1 << 12
-	decodeFloor  = 1 << 20
+	DecodeFloor  = 1 << 20
 )
 
 // decodeLimit returns the maximum number of items a stream may decode to,
@@ -73,10 +74,10 @@ const (
 // (overlong varints, split runs, whatever follows the stream) cannot raise
 // the limit, and whatever decodes re-encodes to a stream that decodes.
 func decodeLimit(n int) uint64 {
-	if lim := uint64(n) * maxExpansion; lim > decodeFloor {
+	if lim := uint64(n) * maxExpansion; lim > DecodeFloor {
 		return lim
 	}
-	return decodeFloor
+	return DecodeFloor
 }
 
 func uvarintLen(x uint64) int {
@@ -177,10 +178,11 @@ func AppendBytes(dst, data []byte) []byte {
 	return dst
 }
 
-// DecodeBytes decodes a stream produced by AppendBytes, returning the data
-// and the number of bytes consumed. The body is checked in full, and the
-// claimed length against decodeLimit, before the output is allocated.
-func DecodeBytes(src []byte) ([]byte, int, error) {
+// DecodeBytes decodes a stream produced by AppendBytes, appends the data
+// to dst and returns the extended slice and the number of bytes consumed.
+// The body is checked in full, and the claimed length against
+// decodeLimit, before dst grows.
+func DecodeBytes(dst, src []byte) ([]byte, int, error) {
 	total, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: length prefix", ErrCorrupt)
@@ -195,22 +197,22 @@ func DecodeBytes(src []byte) ([]byte, int, error) {
 	if total > decodeLimit(canon) {
 		return nil, 0, fmt.Errorf("%w: length %d from a %d-byte canonical encoding", ErrCorrupt, total, canon)
 	}
-	out := make([]byte, 0, total)
+	dst = slices.Grow(dst, int(total))
 	for off := n; off < end; {
 		b := src[off]
 		off++
 		if b != 0xFF {
-			out = append(out, b)
+			dst = append(dst, b)
 			continue
 		}
 		v := src[off]
 		cnt, k := binary.Uvarint(src[off+1:])
 		off += 1 + k
 		for i := uint64(0); i < cnt; i++ {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out, end, nil
+	return dst, end, nil
 }
 
 // scanBytes checks the AppendBytes body at src[off:] that decodes to total

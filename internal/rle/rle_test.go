@@ -80,7 +80,7 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	for _, data := range cases {
 		enc := AppendBytes(nil, data)
-		dec, n, err := DecodeBytes(enc)
+		dec, n, err := DecodeBytes(nil, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", data, err)
 		}
@@ -96,7 +96,7 @@ func TestBytesRoundTrip(t *testing.T) {
 func TestBytesRoundTripProperty(t *testing.T) {
 	prop := func(data []byte) bool {
 		enc := AppendBytes(nil, data)
-		dec, n, err := DecodeBytes(enc)
+		dec, n, err := DecodeBytes(nil, enc)
 		return err == nil && n == len(enc) && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -118,7 +118,7 @@ func TestBytesAppendsAfterPrefix(t *testing.T) {
 	if !bytes.HasPrefix(enc, prefix) {
 		t.Fatal("Append overwrote the destination prefix")
 	}
-	dec, _, err := DecodeBytes(enc[len(prefix):])
+	dec, _, err := DecodeBytes(nil, enc[len(prefix):])
 	if err != nil || string(dec) != "data" {
 		t.Fatalf("decode after prefix: %v %q", err, dec)
 	}
@@ -134,7 +134,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		// An escape count of 2^64-1 must not wrap the overrun check.
 		{2, 'a', 0xFF, 'b', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 'c'},
 	} {
-		if _, _, err := DecodeBytes(bad); err == nil {
+		if _, _, err := DecodeBytes(nil, bad); err == nil {
 			t.Errorf("DecodeBytes(%v) accepted corrupt input", bad)
 		}
 	}
@@ -160,7 +160,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	// DecodeBytes: length prefix claims 4 GiB, body is 2 bytes.
 	huge := binary.AppendUvarint(nil, 1<<32)
 	huge = append(huge, 0xFF, 0x00)
-	if _, _, err := DecodeBytes(huge); err == nil {
+	if _, _, err := DecodeBytes(nil, huge); err == nil {
 		t.Fatal("DecodeBytes accepted a 4GiB claim from a few bytes")
 	}
 	// DecodeUint64s: one run claiming 2^32 values from 4 input bytes.
@@ -175,7 +175,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	multi := binary.AppendUvarint(nil, 4)
 	for i := 0; i < 4; i++ {
 		multi = binary.AppendUvarint(multi, uint64(i))
-		multi = binary.AppendUvarint(multi, decodeFloor/2)
+		multi = binary.AppendUvarint(multi, DecodeFloor/2)
 	}
 	if _, _, err := DecodeUint64s(multi); err == nil {
 		t.Fatal("DecodeUint64s accepted cumulative runs past the input-proportional limit")
@@ -186,7 +186,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 // highly-compressed streams: a long single-value run (the queue stream of
 // a thread scheduled many times in a row) still round-trips.
 func TestDecodeLargeLegitimateRuns(t *testing.T) {
-	vals := make([]uint64, decodeFloor-1)
+	vals := make([]uint64, DecodeFloor-1)
 	for i := range vals {
 		vals[i] = 1
 	}
@@ -201,7 +201,7 @@ func TestDecodeLargeLegitimateRuns(t *testing.T) {
 
 	data := make([]byte, 1<<17) // all zero: collapses to one escape run
 	encB := AppendBytes(nil, data)
-	decB, _, err := DecodeBytes(encB)
+	decB, _, err := DecodeBytes(nil, encB)
 	if err != nil {
 		t.Fatalf("decode of legitimate %d-byte zero run: %v", len(data), err)
 	}
@@ -217,7 +217,7 @@ func TestDecodeLargeLegitimateRuns(t *testing.T) {
 // from a canonical encoding of a few bytes, and its own length would have
 // cleared the limit.
 func TestDecodeLimitFollowsCanonicalEncoding(t *testing.T) {
-	over := uint64(decodeFloor + 1)
+	over := uint64(DecodeFloor + 1)
 	run := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 7), over)
 	split := binary.AppendUvarint(nil, 300) // 300 runs of 7, 1.2M values in all
 	for i := 0; i < 300; i++ {
@@ -243,7 +243,7 @@ func TestDecodeLimitFollowsCanonicalEncoding(t *testing.T) {
 		"split runs":     splitZeros,
 	}
 	for name, src := range byteStreams {
-		if _, _, err := DecodeBytes(src); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeBytes(nil, src); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("DecodeBytes, %s: err = %v, want ErrCorrupt", name, err)
 		}
 	}

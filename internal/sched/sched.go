@@ -420,9 +420,8 @@ func (s *Scheduler) TickEvent(tid TID, ev obs.Event) uint64 {
 		if s.opts.Kind == demo.StrategyQueue {
 			rec.NoteSchedule(int32(tid), t)
 		} else {
-			// Other strategies record no QUEUE stream, but a streaming
-			// recorder still needs the tick latched for its footer
-			// candidates. No-op (no lock) for in-memory recorders.
+			// Other strategies record no QUEUE stream, but the
+			// recorder still latches the tick for its footer candidates.
 			rec.NoteTick(t)
 		}
 	}
