@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke fuzz-smoke bench
+.PHONY: check fmt vet build test tsanvet bench-module smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke fuzz-smoke bench
 
-check: fmt vet build test tsanvet
+check: fmt vet build test tsanvet bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -28,6 +28,12 @@ test:
 # lockorder pass.
 tsanvet:
 	$(GO) run ./cmd/tsanvet ./...
+
+# bench-module vets and tests the benchmark, which is its own Go module
+# (_tsanbench/go.mod), so ./... above skips it. It calls this module's
+# exported names, so a change to one of them must keep it building.
+bench-module:
+	cd _tsanbench && $(GO) vet ./... && $(GO) test ./...
 
 # smoke runs the racehunt exploration pipeline end to end: a small trial
 # budget over ms-queue with 4 workers must find a failure, minimize it,

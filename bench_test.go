@@ -228,15 +228,13 @@ func BenchmarkSchedulerOverhead(b *testing.B) {
 // the 10240-thread point within 2x of the 128-thread one). The op is a
 // bare Yield so the number is the scheduling protocol itself, not the
 // race-detector work a data operation adds on top. SpawnDelay is disabled
-// at the large counts — 10k modelled pthread_creates would dominate setup
-// — and MaxThreads lifts the default thread budget.
+// at the large counts — 10k modelled pthread_creates would dominate setup.
 func BenchmarkVisibleOpThreads(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 32, 128, 1024, 10240} {
 		b.Run(fmt.Sprintf("threads-%d", n), func(b *testing.B) {
 			rt, err := core.New(core.Options{
 				Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2,
 				MaxTicks:   uint64(b.N) + uint64(n)*16 + 4096,
-				MaxThreads: n + 1,
 				SpawnDelay: -1,
 			})
 			if err != nil {

@@ -125,7 +125,7 @@ func run(args []string, out, errOut io.Writer) int {
 
 	sess := obs.NewSession(*tracePath, *metricsFlag)
 	cfg := explore.Config{
-		Program:        explore.Program{Name: p.Name, Body: p.Body},
+		Program:        p,
 		Source:         source,
 		Trials:         *trials,
 		Workers:        *workers,

@@ -64,7 +64,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		return 1
 	}
 
-	sess, err := debugger.New(debugger.Program{Name: p.Name, Body: p.Body}, d,
+	sess, err := debugger.New(p, d,
 		debugger.Options{CheckpointEvery: *every, TraceRing: *ring})
 	if err != nil {
 		fmt.Fprintf(errOut, "tsandebug: %v\n", err)

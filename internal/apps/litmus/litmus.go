@@ -12,22 +12,18 @@ import (
 	"repro/internal/core"
 )
 
-// Program is one litmus test: Body builds and returns the program's main
-// function against a fresh runtime.
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
+// Program is one litmus test.
+type Program = core.Program
 
 // Programs lists the suite in the order of Table 1.
 var Programs = []Program{
-	{"barrier", barrier},
-	{"chase-lev-deque", chaseLevDeque},
-	{"dekker-fences", dekkerFences},
-	{"linuxrwlocks", linuxRWLocks},
-	{"mcs-lock", mcsLock},
-	{"mpmc-queue", mpmcQueue},
-	{"ms-queue", msQueue},
+	{Name: "barrier", Body: barrier},
+	{Name: "chase-lev-deque", Body: chaseLevDeque},
+	{Name: "dekker-fences", Body: dekkerFences},
+	{Name: "linuxrwlocks", Body: linuxRWLocks},
+	{Name: "mcs-lock", Body: mcsLock},
+	{Name: "mpmc-queue", Body: mpmcQueue},
+	{Name: "ms-queue", Body: msQueue},
 }
 
 // ByName returns the named program, searching the Table 1 suite and then

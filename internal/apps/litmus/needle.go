@@ -7,7 +7,7 @@ import "repro/internal/core"
 // the paper comparison, so the Table 1 benchmarks and `litmus -all` skip
 // them. ByName resolves them like any other program.
 var Extras = []Program{
-	{"needle", needle},
+	{Name: "needle", Body: needle},
 }
 
 // Needle geometry, shared with the fuzzing tests. The shallow race fires

@@ -1,6 +1,6 @@
 // Package core is the public façade of tsanrec: the Go analogue of the
 // paper's tsan11rec tool. Programs under test are written against this
-// API — Thread spawn/join, Mutex, Cond, Atomic32/64, race-checked Var data,
+// API — Thread spawn/join, Mutex, Cond, Atomic64, race-checked Var data,
 // fences, and environment syscall wrappers — and every API call is exactly
 // one instrumented visible operation, the role compile-time instrumentation
 // plays in the original tool.
@@ -249,18 +249,17 @@ func New(opts Options) (*Runtime, error) {
 	}
 	world := rt.world
 	s, err := sched.New(sched.Options{
-		Kind:       opts.Strategy,
-		Seed1:      seed1,
-		Seed2:      seed2,
-		Recorder:   recorder,
-		Replayer:   replayer,
-		MaxTicks:   opts.MaxTicks,
-		MaxThreads: opts.MaxThreads,
-		PCTDepth:   opts.PCTDepth,
-		PCTLength:  opts.PCTLength,
-		Trace:      opts.Trace,
-		Metrics:    opts.Metrics,
-		OnStop:     func(error) { world.Interrupt() },
+		Kind:      opts.Strategy,
+		Seed1:     seed1,
+		Seed2:     seed2,
+		Recorder:  recorder,
+		Replayer:  replayer,
+		MaxTicks:  opts.MaxTicks,
+		PCTDepth:  opts.PCTDepth,
+		PCTLength: opts.PCTLength,
+		Trace:     opts.Trace,
+		Metrics:   opts.Metrics,
+		OnStop:    func(error) { world.Interrupt() },
 	})
 	if err != nil {
 		return nil, err
@@ -278,6 +277,14 @@ func New(opts Options) (*Runtime, error) {
 	rt.arena.init(opts.DeterministicAlloc)
 	rt.world.RegisterSignalSink(func(sig int32) { rt.deliverSignal(sig) })
 	return rt, nil
+}
+
+// Program is a named program under test. Body builds the program's main
+// function against a fresh Runtime; the litmus suite, explore's trials and
+// the debugger's replays all call it once per run.
+type Program struct {
+	Name string
+	Body func(rt *Runtime) func(*Thread)
 }
 
 // World returns the runtime's virtual environment, so tests and external
@@ -517,14 +524,16 @@ func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 // startWatchdog launches the background thread the paper co-opts from
 // tsan (§3.3): every quantum it forces a reschedule if the current thread
 // is stuck in an invisible region, and it declares deadlock when the
-// execution has been idle for two consecutive quanta.
+// execution has been idle for two consecutive quanta. It also enforces
+// WallTimeout, which does not count time a debugger holds the run paused.
 func (rt *Runtime) startWatchdog() {
 	quantum := rt.opts.RescheduleQuantum
 	if quantum < 0 {
 		quantum = 100 * time.Millisecond // deadlock detection only
 	}
 	reschedule := rt.opts.RescheduleQuantum > 0
-	deadline := time.Now().Add(rt.opts.WallTimeout)
+	last := time.Now()
+	deadline := last.Add(rt.opts.WallTimeout)
 	go func() {
 		ticker := time.NewTicker(quantum)
 		defer ticker.Stop()
@@ -534,7 +543,13 @@ func (rt *Runtime) startWatchdog() {
 			case <-rt.stopWdog:
 				return
 			case <-ticker.C:
-				if time.Now().After(deadline) {
+				now := time.Now()
+				if rt.opts.Debug != nil && rt.opts.Debug.holding() {
+					// Held since the last check, to within one quantum.
+					deadline = deadline.Add(now.Sub(last))
+				}
+				last = now
+				if now.After(deadline) {
 					rt.sch.Stop(fmt.Errorf("core: wall timeout after %v", rt.opts.WallTimeout))
 					return
 				}

@@ -11,75 +11,22 @@ import (
 	"repro/internal/sched"
 )
 
-func TestAtomic32Operations(t *testing.T) {
-	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2})
-	_, err := rt.Run(func(main *Thread) {
-		a := main.NewAtomic32("a32", 5)
-		if v := a.Load(main, SeqCst); v != 5 {
-			panic("initial load")
-		}
-		a.Store(main, 7, Release)
-		if old := a.Add(main, 3, AcqRel); old != 7 {
-			panic("add old value")
-		}
-		if old := a.Exchange(main, 100, SeqCst); old != 10 {
-			panic("exchange old value")
-		}
-		if _, ok := a.CompareExchange(main, 100, 1, SeqCst, Relaxed); !ok {
-			panic("CAS should succeed")
-		}
-		if _, ok := a.CompareExchange(main, 100, 2, SeqCst, Relaxed); ok {
-			panic("CAS should fail")
-		}
-		if a.Latest() != 1 {
-			panic("latest")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAtomicBoolOperations(t *testing.T) {
-	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2})
-	_, err := rt.Run(func(main *Thread) {
-		f := main.NewAtomicBool("flag", false)
-		if f.Load(main, Acquire) {
-			panic("initial true")
-		}
-		// test_and_set idiom.
-		if f.Exchange(main, true, AcqRel) {
-			panic("first test_and_set saw true")
-		}
-		if !f.Exchange(main, true, AcqRel) {
-			panic("second test_and_set saw false")
-		}
-		f.Store(main, false, Release)
-		if old, ok := f.CompareExchange(main, false, true, SeqCst, Relaxed); !ok || old {
-			panic("bool CAS")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpinlockViaAtomicBool(t *testing.T) {
-	// A TAS spinlock built from AtomicBool with acq_rel ordering is
-	// race-free for the data it guards.
+	// A test-and-set spinlock built from Atomic64.Exchange with acq_rel
+	// ordering is race-free for the data it guards.
 	rt := newTestRuntime(t, Options{Strategy: demo.StrategyRandom, Seed1: 3, Seed2: 9, ReportRaces: true})
 	rep, err := rt.Run(func(main *Thread) {
-		lock := main.NewAtomicBool("spin", false)
+		lock := main.NewAtomic64("spin", 0)
 		data := NewVar(rt, "data", 0)
 		var hs []*Handle
 		for i := 0; i < 3; i++ {
 			hs = append(hs, main.Spawn("w", func(w *Thread) {
 				for n := 0; n < 4; n++ {
-					for lock.Exchange(w, true, AcqRel) {
+					for lock.Exchange(w, 1, AcqRel) != 0 {
 						w.Yield()
 					}
 					data.Update(w, func(v int) int { return v + 1 })
-					lock.Store(w, false, Release)
+					lock.Store(w, 0, Release)
 				}
 			}))
 		}
@@ -105,16 +52,16 @@ func TestRelaxedSpinlockIsRacy(t *testing.T) {
 	for seed := uint64(1); seed <= 30 && !raced; seed++ {
 		rt := newTestRuntime(t, Options{Strategy: demo.StrategyRandom, Seed1: seed, Seed2: seed * 3, ReportRaces: true})
 		rep, err := rt.Run(func(main *Thread) {
-			lock := main.NewAtomicBool("spin", false)
+			lock := main.NewAtomic64("spin", 0)
 			data := NewVar(rt, "data", 0)
 			var hs []*Handle
 			for i := 0; i < 2; i++ {
 				hs = append(hs, main.Spawn("w", func(w *Thread) {
-					for lock.Exchange(w, true, Relaxed) {
+					for lock.Exchange(w, 1, Relaxed) != 0 {
 						w.Yield()
 					}
 					data.Update(w, func(v int) int { return v + 1 })
-					lock.Store(w, false, Relaxed)
+					lock.Store(w, 0, Relaxed)
 				}))
 			}
 			for _, h := range hs {

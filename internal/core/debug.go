@@ -16,7 +16,8 @@
 // sections done, one activated thread about to execute tick completed+1,
 // every other thread parked. Pausing there is safe because ForceReschedule
 // is a no-op during replay and the scheduler is not Idle while a thread is
-// activated, so neither watchdog interferes.
+// activated, so neither watchdog interferes, and the wall timeout does not
+// count the time the run is held.
 package core
 
 import (
@@ -361,6 +362,14 @@ func (dc *DebugControl) ResumeBreaks(bps []Breakpoint) {
 	dc.mode, dc.breaks = modeBreak, slices.Clone(bps)
 	dc.releaseLocked()
 	dc.mu.Unlock()
+}
+
+// holding reports whether the run is held at a pause; the watchdog does
+// not count that time against the wall timeout.
+func (dc *DebugControl) holding() bool {
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	return dc.paused
 }
 
 func (dc *DebugControl) releaseLocked() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/demo"
 	"repro/internal/obs"
@@ -132,6 +133,39 @@ func TestDebugPauseResumeKill(t *testing.T) {
 	cause := errors.New("test kill")
 	dc2.Kill(cause)
 	<-done2
+}
+
+// TestDebugPauseDoesNotSpendWallTimeout holds a replay at a pause for
+// three times its wall timeout: the held time is the debugger's, so the
+// resumed run must still finish the demo.
+func TestDebugPauseDoesNotSpendWallTimeout(t *testing.T) {
+	d := recordDebugDemo(t, 3, 5)
+	dc := NewDebugControl()
+	dc.ResumeTo(3)
+	opts := ReplayOptions(d)
+	opts.Debug = dc
+	opts.WallTimeout = 200 * time.Millisecond
+	rt := newTestRuntime(t, opts)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(debugProgram(rt))
+	}()
+	defer func() { <-done }()
+
+	if info := dc.WaitPause(); !info.Paused || info.Pending.Tick != 4 {
+		dc.Kill(errors.New("test over"))
+		t.Fatalf("pause at 3 = %+v", info)
+	}
+	time.Sleep(3 * opts.WallTimeout)
+	dc.ResumeTo(^uint64(0))
+	info := dc.WaitPause()
+	if !info.Finished || info.Err != nil {
+		t.Fatalf("resumed run = %+v, want it finished without error", info)
+	}
+	if info.Report.Ticks != d.FinalTick {
+		t.Fatalf("resumed run stopped at tick %d of %d", info.Report.Ticks, d.FinalTick)
+	}
 }
 
 // TestDebugCheckpointBitIdentical replays the same demo twice with the

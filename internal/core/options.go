@@ -88,12 +88,8 @@ type Options struct {
 	RescheduleQuantum time.Duration
 	// MaxTicks aborts runaway executions (0 = 50M safety default).
 	MaxTicks uint64
-	// MaxThreads, if nonzero, bounds how many threads the program under test
-	// may create; exceeding it stops the run. It is a pure bound with no
-	// per-thread cost up front — park gates and detector state appear only
-	// as threads actually run — so load scenarios set it to 10240+ for free.
-	MaxThreads int
-	// WallTimeout aborts the run after this much real time (0 = 30s).
+	// WallTimeout aborts the run after this much real time (0 = 30s). Time
+	// the run is held at a Debug pause does not count.
 	WallTimeout time.Duration
 	// PCTDepth / PCTLength parameterise the PCT and delay strategies.
 	PCTDepth  int
@@ -260,9 +256,6 @@ func (o Options) Validate() error {
 	}
 	if o.HistoryDepth < 0 {
 		return fmt.Errorf("core: negative HistoryDepth %d", o.HistoryDepth)
-	}
-	if o.MaxThreads < 0 {
-		return fmt.Errorf("core: negative MaxThreads %d", o.MaxThreads)
 	}
 	if (o.PCTDepth != 0 || o.PCTLength != 0) && !o.Uncontrolled &&
 		o.Strategy != demo.StrategyPCT && o.Strategy != demo.StrategyDelay {

@@ -11,38 +11,34 @@ import (
 
 // TestStopUnblocksVirtualRecvWaiter reproduces the shutdown hang the
 // scheduler's OnStop→World.Interrupt wiring fixes. An external-world
-// goroutine blocks in a virtual datagram recv with a long timeout while a
-// program thread sits in an invisible region waiting (through plain Go
-// channels, invisible to the scheduler) for that recv to return. When the
-// run stops — here via a main-thread panic — the stop must propagate into
-// the env waiter queues: without it, the external recv sits out its full
+// goroutine blocks in a virtual accept with a long timeout while a program
+// thread sits in an invisible region waiting (through plain Go channels,
+// invisible to the scheduler) for that accept to return. When the run
+// stops — here via a main-thread panic — the stop must propagate into the
+// env waiter queues: without it, the external accept sits out its full
 // timeout, the program thread never finishes, and Run hangs in wg.Wait
 // before it can reach World.Shutdown.
 func TestStopUnblocksVirtualRecvWaiter(t *testing.T) {
 	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2})
 
-	recvDone := make(chan error, 1)
-	bound := make(chan struct{})
+	acceptDone := make(chan error, 1)
+	listening := make(chan struct{})
 	go func() {
-		dg, err := rt.World().ExternalDgram(9100)
-		if err != nil {
-			recvDone <- err
-			return
-		}
-		close(bound)
-		_, _, err = dg.Recv(64, time.Minute) // blocked: nothing sends
-		recvDone <- err
+		el := rt.World().ExternalListen(9100)
+		close(listening)
+		_, err := el.Accept(time.Minute) // blocked: the program never connects
+		acceptDone <- err
 	}()
-	<-bound
+	<-listening
 
 	runDone := make(chan error, 1)
 	go func() {
 		_, err := rt.Run(func(main *Thread) {
 			main.Spawn("lingerer", func(w *Thread) {
-				// Invisible region: wait for the external recv to finish.
+				// Invisible region: wait for the external accept to finish.
 				// The scheduler cannot abort this thread until it returns,
-				// so Run's wg.Wait hangs exactly as long as the recv does.
-				<-recvDone
+				// so Run's wg.Wait hangs exactly as long as the accept does.
+				<-acceptDone
 			})
 			main.Yield()
 			panic("stop the run")
@@ -56,11 +52,11 @@ func TestStopUnblocksVirtualRecvWaiter(t *testing.T) {
 			t.Fatal("Run returned nil error despite the panic")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run hung: scheduler stop did not unblock the env recv waiter")
+		t.Fatal("Run hung: scheduler stop did not unblock the env accept waiter")
 	}
 }
 
-// TestStopUnblocksExternalStreamWaiter is the stream-socket flavour: the
+// TestStopUnblocksExternalStreamWaiter is the connected-stream flavour: the
 // external peer is parked in ExtConn.Recv when the run deadlocks, and the
 // deadlock declaration must release it with ErrWorldClosed well before its
 // timeout.

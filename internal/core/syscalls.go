@@ -416,44 +416,3 @@ func (t *Thread) Accept4(fd int, flags int) (int, env.Errno) {
 	})
 	return int(r.ret), r.errno
 }
-
-// SocketDgram creates a datagram (UDP-model) socket.
-func (t *Thread) SocketDgram() int {
-	r := t.syscall(env.SysSocket, -1, func() sysResult {
-		return sysResult{ret: int64(t.rt.world.SocketDgram())}
-	})
-	return int(r.ret)
-}
-
-// BindDgram binds a datagram socket to a local port.
-func (t *Thread) BindDgram(fd, port int) env.Errno {
-	r := t.syscall(env.SysBind, fd, func() sysResult {
-		return sysResult{errno: t.rt.world.BindDgram(fd, port)}
-	})
-	return r.errno
-}
-
-// Sendto sends one datagram to a destination port (recorded under the Net
-// policy, like send).
-func (t *Thread) Sendto(fd int, data []byte, toPort int) (int, env.Errno) {
-	r := t.syscall(env.SysSendmsg, fd, func() sysResult {
-		n, errno := t.rt.world.Sendto(fd, data, toPort)
-		return sysResult{ret: int64(n), errno: errno}
-	})
-	return int(r.ret), r.errno
-}
-
-// Recvfrom receives one datagram, returning payload and source port.
-func (t *Thread) Recvfrom(fd, max int) ([]byte, int, env.Errno) {
-	r := t.syscall(env.SysRecvmsg, fd, func() sysResult {
-		data, from, errno := t.rt.world.Recvfrom(fd, max)
-		out := make([]byte, 4)
-		binary.LittleEndian.PutUint32(out, uint32(from))
-		return sysResult{ret: int64(len(data)), errno: errno, bufs: [][]byte{data, out}}
-	})
-	var from int
-	if len(r.bufs) == 2 && len(r.bufs[1]) == 4 {
-		from = int(binary.LittleEndian.Uint32(r.bufs[1]))
-	}
-	return firstBuf(r), from, r.errno
-}

@@ -222,56 +222,6 @@ func TestReplayFileContentChangeSoftDesyncs(t *testing.T) {
 	}
 }
 
-// TestDatagramRecordReplay: the UDP-model wrappers record and replay like
-// the stream ones, including the source-port out-buffer.
-func TestDatagramRecordReplay(t *testing.T) {
-	program := func(rt *Runtime) func(*Thread) {
-		return func(main *Thread) {
-			fd := main.SocketDgram()
-			if e := main.BindDgram(fd, 6100); e != env.OK {
-				panic("bind dgram")
-			}
-			main.Sendto(fd, []byte("hello server"), 6200)
-			for got := 0; got < 2; {
-				data, from, errno := main.Recvfrom(fd, 64)
-				if errno == env.EAGAIN {
-					main.Yield()
-					continue
-				}
-				if errno != env.OK {
-					panic(errno)
-				}
-				main.Printf("dgram %q from %d\n", data, from)
-				got++
-			}
-		}
-	}
-	world := env.NewWorld(3)
-	srv, err := world.ExternalDgram(6200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if _, from, err := srv.Recv(64, 5*time.Second); err == nil {
-			srv.Send([]byte("pkt-one"), from)
-			srv.Send([]byte("pkt-two"), from)
-		}
-	}()
-	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 2, Seed2: 4, Record: true, World: world})
-	rec, err := rt.Run(program(rt))
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	rt2 := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: rec.Demo, World: env.NewWorld(3)})
-	rep, err := rt2.Run(program(rt2))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if string(rep.Output) != string(rec.Output) {
-		t.Errorf("replay %q != %q", rep.Output, rec.Output)
-	}
-}
-
 // TestSyscallMarginalAllocs counts what one more syscall allocates: bodies
 // of n and 2n ClockGettime calls run under queue+rec and are then
 // replayed, and the Mallocs deltas of the two sizes are compared, so the

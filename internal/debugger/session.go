@@ -31,13 +31,8 @@ import (
 	"repro/internal/tsan"
 )
 
-// Program is the program under test: Body builds the main function
-// against a fresh runtime, the same shape internal/apps/litmus and
-// internal/explore use.
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
+// Program is the program under test; each replay calls Body once.
+type Program = core.Program
 
 // Options tunes a Session.
 type Options struct {
@@ -46,11 +41,12 @@ type Options struct {
 	// TraceRing is the live tracer's ring capacity (default
 	// obs.DefaultTracerSize).
 	TraceRing int
-	// Timeout bounds each underlying replay run's wall time (default 120s;
-	// paused runs do not consume it — the wall clock only threatens runs
-	// that fail to reach their pause target).
-	Timeout time.Duration
 }
+
+// runTimeout bounds each underlying replay run's wall time. Time a run
+// spends held at a pause does not count against it, so it only threatens
+// a run that fails to reach its pause target.
+const runTimeout = 120 * time.Second
 
 // ErrKilled is the abort cause a Session gives runs it discards (restart,
 // Close).
@@ -118,9 +114,6 @@ func New(prog Program, d *demo.Demo, opts Options) (*Session, error) {
 	if opts.TraceRing == 0 {
 		opts.TraceRing = obs.DefaultTracerSize
 	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 120 * time.Second
-	}
 	s := &Session{prog: prog, d: d, opts: opts, every: opts.CheckpointEvery,
 		widx: tsan.NewWriteIndex()}
 
@@ -171,7 +164,7 @@ func (s *Session) launch(dc *core.DebugControl, tr *obs.Tracer, traceFrom uint64
 	opts.Debug = dc
 	opts.WriteIndex = widx
 	opts.Trace = tr
-	opts.WallTimeout = s.opts.Timeout
+	opts.WallTimeout = runTimeout
 	rt, err := core.New(opts)
 	if err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ func racyDemo(t *testing.T, progName string) (*demo.Demo, *core.Report) {
 func mustSession(t *testing.T, progName string, d *demo.Demo, every uint64) *Session {
 	t.Helper()
 	p, _ := litmus.ByName(progName)
-	s, err := New(Program{Name: p.Name, Body: p.Body}, d, Options{CheckpointEvery: every})
+	s, err := New(p, d, Options{CheckpointEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,83 +369,36 @@ func TestAllocPlaceholder(t *testing.T) {
 	}
 }
 
-func TestDatagramSockets(t *testing.T) {
-	w := NewWorld(4)
-	// External "server" on port 5000.
-	srv, err := w.ExternalDgram(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Program-side client.
-	fd := w.SocketDgram()
-	if _, e := w.Sendto(fd, []byte("join"), 5000); e != OK {
-		t.Fatal(e)
-	}
-	data, from, err := srv.Recv(64, time.Second)
-	if err != nil || string(data) != "join" {
-		t.Fatalf("%q %v", data, err)
-	}
-	if err := srv.Send([]byte("welcome-to-the-server"), from); err != nil {
-		t.Fatal(err)
-	}
-	// Non-blocking receive with truncation.
-	var payload []byte
-	var src int
-	for {
-		d, f, e := w.Recvfrom(fd, 7)
-		if e == EAGAIN {
-			continue
-		}
-		if e != OK {
-			t.Fatal(e)
-		}
-		payload, src = d, f
-		break
-	}
-	if string(payload) != "welcome" || src != 5000 {
-		t.Fatalf("payload %q from %d", payload, src)
-	}
-	// One datagram per Recvfrom: the truncated remainder is gone.
-	if _, _, e := w.Recvfrom(fd, 64); e != EAGAIN {
-		t.Fatalf("expected empty inbox, got %v", e)
-	}
-	// Bound ports conflict.
-	fd2 := w.SocketDgram()
-	if e := w.BindDgram(fd2, 5000); e != EADDRINUSE {
-		t.Fatalf("expected EADDRINUSE, got %v", e)
-	}
-	// Send to nowhere.
-	if _, e := w.Sendto(fd, []byte("x"), 1); e != ECONNREFUSED {
-		t.Fatalf("expected ECONNREFUSED, got %v", e)
-	}
-	// Close releases the ephemeral port.
-	w.Close(fd)
-	if _, e := w.Sendto(fd, []byte("x"), 5000); e != EBADF {
-		t.Fatalf("send on closed dgram socket: %v", e)
-	}
-}
-
-// TestSysNames pins every syscall kind's name, the SYSCALL stream's codes
-// as the debugger and traces show them, and checks that String, which
-// runs on every instrumented syscall, allocates nothing.
+// TestSysNames pins every syscall kind's number and name. SYSCALL records
+// store the number, so renumbering a kind would relabel every syscall of
+// an existing demo; the names are the codes as the debugger and traces
+// show them. It also checks that String, which runs on every instrumented
+// syscall, allocates nothing.
 func TestSysNames(t *testing.T) {
-	want := map[Sys]string{
-		SysRead: "read", SysWrite: "write", SysRecv: "recv",
-		SysRecvmsg: "recvmsg", SysSend: "send", SysSendmsg: "sendmsg",
-		SysAccept: "accept", SysAccept4: "accept4",
-		SysClockGettime: "clock_gettime", SysIoctl: "ioctl",
-		SysSelect: "select", SysBind: "bind", SysPoll: "poll",
-		SysSocket: "socket", SysListen: "listen", SysConnect: "connect",
-		SysClose: "close", SysOpen: "open", SysPipe: "pipe",
-		SysEpollCreate: "epoll_create", SysEpollCtl: "epoll_ctl",
-		SysEpollWait: "epoll_wait",
+	want := []struct {
+		s    Sys
+		code uint16
+		name string
+	}{
+		{SysRead, 1, "read"}, {SysWrite, 2, "write"}, {SysRecv, 3, "recv"},
+		{SysRecvmsg, 4, "recvmsg"}, {SysSend, 5, "send"}, {SysSendmsg, 6, "sendmsg"},
+		{SysAccept, 7, "accept"}, {SysAccept4, 8, "accept4"},
+		{SysClockGettime, 9, "clock_gettime"}, {SysIoctl, 10, "ioctl"},
+		{SysSelect, 11, "select"}, {SysBind, 12, "bind"}, {SysPoll, 13, "poll"},
+		{SysSocket, 14, "socket"}, {SysListen, 15, "listen"}, {SysConnect, 16, "connect"},
+		{SysClose, 17, "close"}, {SysOpen, 18, "open"}, {SysPipe, 19, "pipe"},
+		{SysEpollCreate, 20, "epoll_create"}, {SysEpollCtl, 21, "epoll_ctl"},
+		{SysEpollWait, 22, "epoll_wait"},
 	}
 	if len(want) != int(SysEpollWait) {
-		t.Fatalf("pinned %d names for %d kinds", len(want), SysEpollWait)
+		t.Fatalf("pinned %d kinds, but SysEpollWait is %d", len(want), SysEpollWait)
 	}
-	for s := SysRead; s <= SysEpollWait; s++ {
-		if got := s.String(); got != want[s] {
-			t.Errorf("Sys(%d).String() = %q, want %q", s, got, want[s])
+	for _, w := range want {
+		if uint16(w.s) != w.code {
+			t.Errorf("%s has number %d, want %d", w.name, uint16(w.s), w.code)
+		}
+		if got := w.s.String(); got != w.name {
+			t.Errorf("Sys(%d).String() = %q, want %q", w.code, got, w.name)
 		}
 	}
 	for _, s := range []Sys{0, SysEpollWait + 1, 0xFFFF} {

@@ -78,9 +78,9 @@ func (w *World) EpollCreate() int {
 // EpollCtl adds or removes fd from the instance's interest set. Only PollIn
 // interest is meaningful (the environment's writes never block, so
 // writability is always true). An added fd must already be something
-// watchable: a listener, a connected stream socket, a pipe end, a datagram
-// socket or a file. Re-adding an fd already present is EINVAL, as is
-// adding an unconnected stream socket.
+// watchable: a listener, a connected stream socket, a pipe end or a file.
+// Re-adding an fd already present is EINVAL, as is adding an unconnected
+// stream socket.
 func (w *World) EpollCtl(epfd, op, fd int, events int16) Errno {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -105,8 +105,6 @@ func (w *World) EpollCtl(epfd, op, fd int, events int16) Errno {
 		switch {
 		case d.kind == FDListener:
 			d.lstn.watch = append(d.lstn.watch, epollRef{ep: ep, fd: fd})
-		case d.dg != nil:
-			d.dg.watch = append(d.dg.watch, epollRef{ep: ep, fd: fd})
 		case d.peer != nil:
 			d.peer.watch[d.inDir] = append(d.peer.watch[d.inDir], epollRef{ep: ep, fd: fd})
 		case d.kind == FDFile:

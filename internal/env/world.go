@@ -29,7 +29,6 @@ type World struct {
 	fds     map[int]*fdesc
 	ports   map[int]*listener // program-side listeners by port
 	extPort map[int]*extListener
-	dgPorts map[int]*dgramSock // datagram sockets by bound port
 	files   map[string][]byte
 	display *display
 
@@ -94,7 +93,6 @@ type fdesc struct {
 	peer   *buffers // stream buffers (shared with the other endpoint)
 	inDir  int      // which side of the buffer pair we read from (0 or 1)
 	lstn   *listener
-	dg     *dgramSock
 	file   string
 	offset int
 	dev    *display
@@ -157,7 +155,6 @@ func NewWorld(seed uint64) *World {
 		fds:     make(map[int]*fdesc),
 		ports:   make(map[int]*listener),
 		extPort: make(map[int]*extListener),
-		dgPorts: make(map[int]*dgramSock),
 		files:   make(map[string][]byte),
 		extRand: seed ^ uint64(time.Now().UnixNano()),
 		stopCh:  make(chan struct{}),
@@ -456,10 +453,6 @@ func (w *World) Close(fd int) Errno {
 		delete(w.ports, d.lstn.port)
 		w.bumpLocked()
 	}
-	if d.dg != nil && d.dg.port != 0 {
-		delete(w.dgPorts, d.dg.port)
-		w.bumpLocked()
-	}
 	if d.ep != nil {
 		// Waiters blocked on a just-closed epoll fd must notice EBADF.
 		d.ep.cond.Broadcast()
@@ -479,9 +472,6 @@ func (w *World) readableLocked(fd int) bool {
 	case FDListener:
 		return len(d.lstn.backlog) > 0
 	case FDSocket, FDPipeRead:
-		if d.dg != nil {
-			return len(d.dg.inbox) > 0
-		}
 		if d.peer == nil {
 			return false
 		}

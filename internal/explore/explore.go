@@ -37,15 +37,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Program is the unit under exploration: a named body in the shape the
-// litmus suite and the examples already use. Body is called once per
-// trial with that trial's private Runtime and must be safe to invoke
+// Program is the unit under exploration. Body is called once per trial
+// with that trial's private Runtime and must be safe to invoke
 // concurrently from multiple trials (litmus bodies are: they close over
 // nothing but the Runtime).
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
+type Program = core.Program
 
 // Config parameterises one exploration sweep.
 type Config struct {
@@ -67,12 +63,11 @@ type Config struct {
 	// a different Next/Feedback interleaving, but for a fixed lag the
 	// interleaving never depends on worker count or completion order.
 	FeedbackLag int
-	// MaxTicks, TrialTimeout and RescheduleQuantum are forwarded to every
-	// trial's core.Options (zero keeps the core defaults; negative
+	// MaxTicks and RescheduleQuantum are forwarded to every trial's
+	// core.Options (zero keeps the core defaults; negative
 	// RescheduleQuantum disables forced rescheduling, which also makes
 	// random/PCT/delay trials fully seed-deterministic).
 	MaxTicks          uint64
-	TrialTimeout      time.Duration
 	RescheduleQuantum time.Duration
 	// WallBudget stops dispatching new trials once this much real time has
 	// elapsed (zero = no wall budget; the trial budget is the only limit).
@@ -436,7 +431,6 @@ type trialFailure struct {
 // by the recording trials and the minimizer's replays.
 func trialOptions(cfg *Config, base core.Options) core.Options {
 	base.MaxTicks = cfg.MaxTicks
-	base.WallTimeout = cfg.TrialTimeout
 	base.RescheduleQuantum = cfg.RescheduleQuantum
 	base.Trace = cfg.Trace
 	base.Metrics = cfg.Metrics

@@ -21,7 +21,7 @@ func testProgram(t *testing.T, name string) Program {
 	if !ok {
 		t.Fatalf("litmus program %q missing", name)
 	}
-	return Program{Name: p.Name, Body: p.Body}
+	return p
 }
 
 // detRotation returns the standard deterministic trial source: the

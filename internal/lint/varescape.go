@@ -15,8 +15,7 @@ import (
 // clocks and the race detector, and — worse for replay — their
 // interleaving is decided by the Go memory model, not the recorded
 // schedule, so two replays of the same demo can legitimately disagree.
-// Route the state through core.Var, core.Atomic64/32, or a conc
-// container.
+// Route the state through core.Var, core.Atomic64, or a conc container.
 //
 // Heuristics, documented rather than hidden:
 //   - "thread body" means any function whose parameters include a

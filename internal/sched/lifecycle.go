@@ -16,11 +16,6 @@ func (s *Scheduler) ThreadNew(parent TID, name string) TID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.assertCurrentLocked(parent, "ThreadNew")
-	if max := s.opts.MaxThreads; max > 0 && len(s.threads) >= max {
-		s.failLocked(fmt.Errorf("sched: thread limit exceeded: %d threads already created (MaxThreads=%d)",
-			len(s.threads), max))
-		s.abortLocked()
-	}
 	id := TID(len(s.threads))
 	if name == "" {
 		name = fmt.Sprintf("thread-%d", id)

@@ -94,12 +94,6 @@ type Options struct {
 	// MaxTicks aborts the execution after this many critical sections
 	// (0 = unlimited).
 	MaxTicks uint64
-	// MaxThreads, if nonzero, bounds how many threads the program under test
-	// may create; exceeding it stops the execution. It is a pure bound — no
-	// per-thread state is allocated until a thread exists and first parks, so
-	// a 10k bound on an 8-thread run costs nothing (pinned by the alloc test
-	// in sched_scale_test.go).
-	MaxThreads int
 	// PCTDepth is the bug depth d for the PCT strategy (priority change
 	// points = d-1). Ignored by other strategies; defaults to 3.
 	PCTDepth int
