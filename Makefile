@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet bench-module smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke fuzz-smoke bench
+.PHONY: check fmt vet build test tsanvet bench-module smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke examples-smoke fuzz-smoke bench
 
 check: fmt vet build test tsanvet bench-module
 
@@ -134,6 +134,25 @@ load-smoke:
 experiments-smoke:
 	$(GO) run ./cmd/experiments -runs 1 -o /tmp/experiments-smoke.json | tee /tmp/experiments-smoke.md
 	grep -q '<!-- experiments:bug -->' /tmp/experiments-smoke.md
+
+# examples-smoke builds and runs the examples that print a verdict and
+# greps each verdict: netclient's offline replay reproduces its output,
+# gamereplay's offline replay reproduces the bug, weakmemory finds its
+# C++11-only race, and workerpool (the one program on conc's bounded Queue)
+# replays both pools identically and reports races in the buggy one.
+examples-smoke:
+	mkdir -p /tmp/examples-smoke
+	$(GO) build -o /tmp/examples-smoke/ ./examples/netclient ./examples/gamereplay \
+		./examples/weakmemory ./examples/workerpool
+	/tmp/examples-smoke/netclient | tee /tmp/examples-smoke/netclient.log
+	grep -q 'output identical=true' /tmp/examples-smoke/netclient.log
+	/tmp/examples-smoke/gamereplay | tee /tmp/examples-smoke/gamereplay.log
+	grep -q 'bug reproduced=true' /tmp/examples-smoke/gamereplay.log
+	/tmp/examples-smoke/weakmemory | tee /tmp/examples-smoke/weakmemory.log
+	grep -q 'first racy seed' /tmp/examples-smoke/weakmemory.log
+	/tmp/examples-smoke/workerpool | tee /tmp/examples-smoke/workerpool.log
+	test $$(grep -c 'replay: identical=true' /tmp/examples-smoke/workerpool.log) -eq 2
+	grep -A1 'buggy pool' /tmp/examples-smoke/workerpool.log | grep -q 'races=[1-9]'
 
 # fuzz-smoke fuzzes every decoder beyond its seed corpus for 30s each: the
 # v1/v2 demo decoder (FuzzDecode), the torn-file recovery path

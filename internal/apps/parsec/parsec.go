@@ -9,12 +9,16 @@
 //	                per cell update, the worst case for controlled
 //	                scheduling overhead.
 //	streamcluster — barrier-phased iteration: all threads meet at a
-//	                condvar barrier between compute phases.
+//	                conc.Barrier between compute phases.
 //	bodytrack     — a producer/worker-pool pipeline of many small items
-//	                through a condvar queue (starves under uniform random
+//	                through a conc.Queue (starves under uniform random
 //	                scheduling, hence its 94x rnd column).
 //	ferret        — a multi-stage pipeline with moderate compute per
-//	                stage.
+//	                stage and a conc.Queue between stages.
+//
+// The barrier and the unbounded queues are internal/conc's, the
+// instrumented counterparts of the pthread barrier and condvar queues the
+// real benchmarks synchronise through.
 //
 // The kernels compute real (deterministic) arithmetic so that "invisible"
 // regions have genuine weight; sizes are calibrated so a full 'simlarge'
@@ -26,6 +30,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/conc"
 	"repro/internal/core"
 )
 
@@ -165,51 +170,13 @@ func fluidanimate(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 	}
 }
 
-// barrier is a condvar barrier used by streamcluster.
-type barrier struct {
-	mu    *core.Mutex
-	cv    *core.Cond
-	count *core.Var[int]
-	gen   *core.Var[int]
-	n     int
-}
-
-func newBarrier(rt *core.Runtime, name string, n int) *barrier {
-	mu := rt.NewMutex(name + ".mu")
-	return &barrier{
-		mu:    mu,
-		cv:    rt.NewCond(name+".cv", mu),
-		count: core.NewVar(rt, name+".count", 0),
-		gen:   core.NewVar(rt, name+".gen", 0),
-		n:     n,
-	}
-}
-
-func (b *barrier) wait(t *core.Thread) {
-	b.mu.Lock(t)
-	gen := b.gen.Read(t)
-	c := b.count.Read(t) + 1
-	b.count.Write(t, c)
-	if c == b.n {
-		b.count.Write(t, 0)
-		b.gen.Write(t, gen+1)
-		b.cv.Broadcast(t)
-		b.mu.Unlock(t)
-		return
-	}
-	for b.gen.Read(t) == gen {
-		b.cv.Wait(t)
-	}
-	b.mu.Unlock(t)
-}
-
 // streamcluster: phases of parallel distance computation separated by
 // barriers.
 func streamcluster(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 	phases := 40 * size
 	points := 6000
 	return func(main *core.Thread) {
-		bar := newBarrier(rt, "sc.barrier", nthreads)
+		bar := conc.NewBarrier(rt, "sc.barrier", nthreads)
 		cost := core.NewVar(rt, "sc.cost", 0.0)
 		costMu := rt.NewMutex("sc.cost.mu")
 		var hs []*core.Handle
@@ -227,7 +194,7 @@ func streamcluster(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 					costMu.Lock(t)
 					cost.Update(t, func(c float64) float64 { return c + local })
 					costMu.Unlock(t)
-					bar.wait(t)
+					bar.Wait(t)
 				}
 			}))
 		}
@@ -237,61 +204,11 @@ func streamcluster(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 	}
 }
 
-// workQueue is the condvar-guarded queue used by the pipeline kernels.
-type workQueue struct {
-	mu     *core.Mutex
-	cv     *core.Cond
-	items  *core.Var[[]int]
-	closed *core.Var[bool]
-}
-
-func newWorkQueue(rt *core.Runtime, name string) *workQueue {
-	mu := rt.NewMutex(name + ".mu")
-	return &workQueue{
-		mu:     mu,
-		cv:     rt.NewCond(name+".cv", mu),
-		items:  core.NewVar(rt, name+".items", []int(nil)),
-		closed: core.NewVar(rt, name+".closed", false),
-	}
-}
-
-func (q *workQueue) push(t *core.Thread, v int) {
-	q.mu.Lock(t)
-	q.items.Update(t, func(it []int) []int { return append(it, v) })
-	q.cv.Signal(t)
-	q.mu.Unlock(t)
-}
-
-func (q *workQueue) close(t *core.Thread) {
-	q.mu.Lock(t)
-	q.closed.Write(t, true)
-	q.cv.Broadcast(t)
-	q.mu.Unlock(t)
-}
-
-// pop returns (item, ok); ok=false means the queue is closed and drained.
-func (q *workQueue) pop(t *core.Thread) (int, bool) {
-	q.mu.Lock(t)
-	defer q.mu.Unlock(t)
-	for {
-		it := q.items.Read(t)
-		if len(it) > 0 {
-			v := it[0]
-			q.items.Write(t, it[1:])
-			return v, true
-		}
-		if q.closed.Read(t) {
-			return 0, false
-		}
-		q.cv.Wait(t)
-	}
-}
-
 // bodytrack: one producer feeding many small work items to a worker pool.
 func bodytrack(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 	items := 400 * size
 	return func(main *core.Thread) {
-		q := newWorkQueue(rt, "bt.queue")
+		q := conc.NewQueue[int](rt, "bt.queue", 0)
 		done := core.NewVar(rt, "bt.done", 0)
 		doneMu := rt.NewMutex("bt.done.mu")
 		var hs []*core.Handle
@@ -302,7 +219,7 @@ func bodytrack(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 		for w := 0; w < workers; w++ {
 			hs = append(hs, main.Spawn(fmt.Sprintf("bt-%d", w), func(t *core.Thread) {
 				for {
-					v, ok := q.pop(t)
+					v, ok := q.Pop(t)
 					if !ok {
 						return
 					}
@@ -317,9 +234,9 @@ func bodytrack(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 			}))
 		}
 		for i := 0; i < items; i++ {
-			q.push(main, i)
+			q.Push(main, i)
 		}
-		q.close(main)
+		q.Close(main)
 		for _, h := range hs {
 			main.Join(h)
 		}
@@ -331,21 +248,21 @@ func bodytrack(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 func ferret(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 	items := 150 * size
 	return func(main *core.Thread) {
-		stages := []*workQueue{
-			newWorkQueue(rt, "ferret.s1"),
-			newWorkQueue(rt, "ferret.s2"),
-			newWorkQueue(rt, "ferret.s3"),
+		stages := []*conc.Queue[int]{
+			conc.NewQueue[int](rt, "ferret.s1", 0),
+			conc.NewQueue[int](rt, "ferret.s2", 0),
+			conc.NewQueue[int](rt, "ferret.s3", 0),
 		}
 		ranked := core.NewVar(rt, "ferret.ranked", 0)
 		rankMu := rt.NewMutex("ferret.rank.mu")
 
-		stageBody := func(in, out *workQueue, weight int) func(*core.Thread) {
+		stageBody := func(in, out *conc.Queue[int], weight int) func(*core.Thread) {
 			return func(t *core.Thread) {
 				for {
-					v, ok := in.pop(t)
+					v, ok := in.Pop(t)
 					if !ok {
 						if out != nil {
-							out.close(t)
+							out.Close(t)
 						}
 						return
 					}
@@ -354,7 +271,7 @@ func ferret(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 						acc = math.Sqrt(acc + float64(i))
 					}
 					if out != nil {
-						out.push(t, v+int(acc)%3)
+						out.Push(t, v+int(acc)%3)
 					} else {
 						rankMu.Lock(t)
 						ranked.Update(t, func(r int) int { return r + 1 })
@@ -367,9 +284,9 @@ func ferret(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 		h2 := main.Spawn("ferret-index", stageBody(stages[1], stages[2], 3))
 		h3 := main.Spawn("ferret-rank", stageBody(stages[2], nil, 1))
 		for i := 0; i < items; i++ {
-			stages[0].push(main, i)
+			stages[0].Push(main, i)
 		}
-		stages[0].close(main)
+		stages[0].Close(main)
 		main.Join(h1)
 		main.Join(h2)
 		main.Join(h3)

@@ -64,3 +64,34 @@ func TestKernelRecordReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelTicksPinned pins every kernel's visible-operation count per
+// strategy and seed, with the liveness rescheduler off so the schedule is
+// a function of the seeds alone. Each count is the one the kernel reads
+// with a hand-written one-condvar barrier and queue, so a scheduling point
+// that conc's barrier or unbounded queue adds or drops fails it.
+func TestKernelTicksPinned(t *testing.T) {
+	want := map[string]map[demo.Strategy][3]uint64{
+		"blackscholes":  {demo.StrategyRandom: {10, 11, 10}, demo.StrategyPCT: {10, 12, 10}},
+		"fluidanimate":  {demo.StrategyRandom: {5056, 5042, 5062}, demo.StrategyPCT: {4812, 4813, 4815}},
+		"streamcluster": {demo.StrategyRandom: {916, 910, 920}, demo.StrategyPCT: {850, 853, 851}},
+		"bodytrack":     {demo.StrategyRandom: {3521, 3538, 3530}, demo.StrategyPCT: {3441, 3944, 3661}},
+		"ferret":        {demo.StrategyRandom: {3070, 3053, 3095}, demo.StrategyPCT: {4236, 3099, 3360}},
+	}
+	for _, b := range Benchmarks {
+		for s, ticks := range want[b.Name] {
+			for i, w := range ticks {
+				seed := uint64(i + 1)
+				opts := core.RecordOptions(s, seed, seed+7)
+				opts.RescheduleQuantum = -1
+				_, rep, err := RunOnce(b, opts, 3, 1)
+				if err != nil {
+					t.Fatalf("%s/%v/%d: %v", b.Name, s, seed, err)
+				}
+				if rep.Ticks != w {
+					t.Errorf("%s/%v seed %d: %d ticks, want %d", b.Name, s, seed, rep.Ticks, w)
+				}
+			}
+		}
+	}
+}

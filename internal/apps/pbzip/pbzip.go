@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/env"
 )
@@ -62,10 +63,7 @@ func Compress(rt *core.Runtime, cfg Config) func(*core.Thread) {
 			seq  int
 			data []byte
 		}
-		qmu := rt.NewMutex("pbzip.q.mu")
-		qcv := rt.NewCond("pbzip.q.cv", qmu)
-		queue := core.NewVar(rt, "pbzip.queue", []chunk(nil))
-		eof := core.NewVar(rt, "pbzip.eof", false)
+		queue := conc.NewQueue[chunk](rt, "pbzip.q", 0)
 
 		omu := rt.NewMutex("pbzip.out.mu")
 		ocv := rt.NewCond("pbzip.out.cv", omu)
@@ -76,24 +74,8 @@ func Compress(rt *core.Runtime, cfg Config) func(*core.Thread) {
 		for w := 0; w < cfg.Workers; w++ {
 			hs = append(hs, main.Spawn(fmt.Sprintf("pbzip-%d", w), func(t *core.Thread) {
 				for {
-					qmu.Lock(t)
-					var c chunk
-					got := false
-					for {
-						q := queue.Read(t)
-						if len(q) > 0 {
-							c = q[0]
-							queue.Write(t, q[1:])
-							got = true
-							break
-						}
-						if eof.Read(t) {
-							break
-						}
-						qcv.Wait(t)
-					}
-					qmu.Unlock(t)
-					if !got {
+					c, ok := queue.Pop(t)
+					if !ok {
 						return
 					}
 					// Invisible compute: the actual compression.
@@ -156,16 +138,10 @@ func Compress(rt *core.Runtime, cfg Config) func(*core.Thread) {
 			if errno != env.OK || len(data) == 0 {
 				break
 			}
-			qmu.Lock(main)
-			queue.Update(main, func(q []chunk) []chunk { return append(q, chunk{seq, data}) })
-			qcv.Signal(main)
-			qmu.Unlock(main)
+			queue.Push(main, chunk{seq, data})
 			seq++
 		}
-		qmu.Lock(main)
-		eof.Write(main, true)
-		qcv.Broadcast(main)
-		qmu.Unlock(main)
+		queue.Close(main)
 		omu.Lock(main)
 		totalChunks.Write(main, seq)
 		ocv.Broadcast(main)

@@ -101,3 +101,29 @@ func TestCompressRecordReplay(t *testing.T) {
 		t.Errorf("replay output size %d != recorded %d", size2, size1)
 	}
 }
+
+// TestCompressTicksPinned pins the compressor's visible-operation count per
+// strategy and seed, with the liveness rescheduler off so the schedule is
+// a function of the seeds alone. Each count is the one the compressor
+// reads with a hand-written one-condvar chunk queue, so a scheduling point
+// that conc's unbounded queue adds or drops fails it.
+func TestCompressTicksPinned(t *testing.T) {
+	want := map[demo.Strategy][3]uint64{
+		demo.StrategyRandom: {193, 211, 202},
+		demo.StrategyPCT:    {217, 144, 186},
+	}
+	for s, ticks := range want {
+		for i, w := range ticks {
+			seed := uint64(i + 1)
+			opts := core.RecordOptions(s, seed, seed+7)
+			opts.RescheduleQuantum = -1
+			_, _, rep, err := RunOnce(opts, DefaultConfig(), 64<<10)
+			if err != nil {
+				t.Fatalf("%v/%d: %v", s, seed, err)
+			}
+			if rep.Ticks != w {
+				t.Errorf("%v seed %d: %d ticks, want %d", s, seed, rep.Ticks, w)
+			}
+		}
+	}
+}

@@ -1,132 +1,15 @@
-// Package conc is an instrumented concurrency library built on the core
-// primitives: reader/writer locks, semaphores, barriers, wait groups and
-// bounded queues of the kind the paper's applications construct from
-// pthreads. Every constituent operation is a visible operation of the
-// controlled scheduler, so programs built on conc are schedulable,
-// race-checked and record/replayable exactly like programs using the raw
-// primitives.
+// Package conc is the instrumented barrier and queue that programs under
+// test synchronise through, in the role pthread_barrier_t and the
+// condvar-guarded work queues play in the paper's PARSEC and pbzip2
+// programs. Both are built from core's Mutex, Cond and Var, so every
+// constituent operation is a visible operation of the controlled scheduler
+// and a program built on conc is schedulable, race-checked and
+// record/replayable exactly like one using the raw primitives.
 package conc
 
 import (
 	"repro/internal/core"
 )
-
-// RWMutex is a writer-preferring reader/writer lock (the corrected version
-// of the linuxrwlocks litmus benchmark: all transitions carry proper
-// release/acquire edges via the underlying mutex and condvar).
-type RWMutex struct {
-	mu       *core.Mutex
-	cv       *core.Cond
-	readers  *core.Var[int]
-	writer   *core.Var[bool]
-	waitingW *core.Var[int]
-}
-
-// NewRWMutex creates a reader/writer lock.
-func NewRWMutex(rt *core.Runtime, name string) *RWMutex {
-	mu := rt.NewMutex(name + ".mu")
-	return &RWMutex{
-		mu:       mu,
-		cv:       rt.NewCond(name+".cv", mu),
-		readers:  core.NewVar(rt, name+".readers", 0),
-		writer:   core.NewVar(rt, name+".writer", false),
-		waitingW: core.NewVar(rt, name+".waitingW", 0),
-	}
-}
-
-// RLock acquires the lock for reading; readers are admitted only when no
-// writer holds or awaits the lock (writer preference avoids starvation).
-func (l *RWMutex) RLock(t *core.Thread) {
-	l.mu.Lock(t)
-	for l.writer.Read(t) || l.waitingW.Read(t) > 0 {
-		l.cv.Wait(t)
-	}
-	l.readers.Update(t, func(r int) int { return r + 1 })
-	l.mu.Unlock(t)
-}
-
-// RUnlock releases a read acquisition.
-func (l *RWMutex) RUnlock(t *core.Thread) {
-	l.mu.Lock(t)
-	r := l.readers.Read(t) - 1
-	if r < 0 {
-		panic("conc: RUnlock without RLock")
-	}
-	l.readers.Write(t, r)
-	if r == 0 {
-		l.cv.Broadcast(t)
-	}
-	l.mu.Unlock(t)
-}
-
-// Lock acquires the lock for writing.
-func (l *RWMutex) Lock(t *core.Thread) {
-	l.mu.Lock(t)
-	l.waitingW.Update(t, func(w int) int { return w + 1 })
-	for l.writer.Read(t) || l.readers.Read(t) > 0 {
-		l.cv.Wait(t)
-	}
-	l.waitingW.Update(t, func(w int) int { return w - 1 })
-	l.writer.Write(t, true)
-	l.mu.Unlock(t)
-}
-
-// Unlock releases a write acquisition.
-func (l *RWMutex) Unlock(t *core.Thread) {
-	l.mu.Lock(t)
-	if !l.writer.Read(t) {
-		panic("conc: Unlock without Lock")
-	}
-	l.writer.Write(t, false)
-	l.cv.Broadcast(t)
-	l.mu.Unlock(t)
-}
-
-// Semaphore is a counting semaphore.
-type Semaphore struct {
-	mu    *core.Mutex
-	cv    *core.Cond
-	count *core.Var[int]
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(rt *core.Runtime, name string, initial int) *Semaphore {
-	mu := rt.NewMutex(name + ".mu")
-	return &Semaphore{
-		mu:    mu,
-		cv:    rt.NewCond(name+".cv", mu),
-		count: core.NewVar(rt, name+".count", initial),
-	}
-}
-
-// Acquire takes one unit, blocking while the count is zero.
-func (s *Semaphore) Acquire(t *core.Thread) {
-	s.mu.Lock(t)
-	for s.count.Read(t) == 0 {
-		s.cv.Wait(t)
-	}
-	s.count.Update(t, func(c int) int { return c - 1 })
-	s.mu.Unlock(t)
-}
-
-// TryAcquire takes one unit if immediately available.
-func (s *Semaphore) TryAcquire(t *core.Thread) bool {
-	s.mu.Lock(t)
-	defer s.mu.Unlock(t)
-	if s.count.Read(t) == 0 {
-		return false
-	}
-	s.count.Update(t, func(c int) int { return c - 1 })
-	return true
-}
-
-// Release returns one unit and wakes a waiter.
-func (s *Semaphore) Release(t *core.Thread) {
-	s.mu.Lock(t)
-	s.count.Update(t, func(c int) int { return c + 1 })
-	s.cv.Signal(t)
-	s.mu.Unlock(t)
-}
 
 // Barrier is a reusable n-party barrier (generation-counted, as
 // streamcluster's phases require).
@@ -175,52 +58,10 @@ func (b *Barrier) Wait(t *core.Thread) bool {
 	return false
 }
 
-// WaitGroup counts outstanding work, pthread-join style but for arbitrary
-// completion events.
-type WaitGroup struct {
-	mu    *core.Mutex
-	cv    *core.Cond
-	count *core.Var[int]
-}
-
-// NewWaitGroup creates an empty wait group.
-func NewWaitGroup(rt *core.Runtime, name string) *WaitGroup {
-	mu := rt.NewMutex(name + ".mu")
-	return &WaitGroup{
-		mu:    mu,
-		cv:    rt.NewCond(name+".cv", mu),
-		count: core.NewVar(rt, name+".count", 0),
-	}
-}
-
-// Add adjusts the counter by delta.
-func (w *WaitGroup) Add(t *core.Thread, delta int) {
-	w.mu.Lock(t)
-	c := w.count.Read(t) + delta
-	if c < 0 {
-		panic("conc: negative WaitGroup counter")
-	}
-	w.count.Write(t, c)
-	if c == 0 {
-		w.cv.Broadcast(t)
-	}
-	w.mu.Unlock(t)
-}
-
-// Done decrements the counter.
-func (w *WaitGroup) Done(t *core.Thread) { w.Add(t, -1) }
-
-// Wait blocks until the counter reaches zero.
-func (w *WaitGroup) Wait(t *core.Thread) {
-	w.mu.Lock(t)
-	for w.count.Read(t) != 0 {
-		w.cv.Wait(t)
-	}
-	w.mu.Unlock(t)
-}
-
-// Queue is a bounded blocking FIFO of V, the producer/consumer channel the
-// pipeline benchmarks are built from.
+// Queue is a blocking FIFO of V, the producer/consumer channel the
+// pipeline benchmarks are built from. An unbounded queue never touches its
+// notFull condvar, so it costs the same visible operations as the
+// one-condvar queue a pthreads program writes by hand.
 type Queue[V any] struct {
 	mu       *core.Mutex
 	notEmpty *core.Cond
@@ -272,7 +113,9 @@ func (q *Queue[V]) Pop(t *core.Thread) (V, bool) {
 		if len(it) > 0 {
 			v := it[0]
 			q.items.Write(t, it[1:])
-			q.notFull.Signal(t)
+			if q.capacity > 0 {
+				q.notFull.Signal(t)
+			}
 			return v, true
 		}
 		if q.closed.Read(t) {
@@ -283,18 +126,14 @@ func (q *Queue[V]) Pop(t *core.Thread) (V, bool) {
 	}
 }
 
-// Close marks the queue closed and wakes all waiters.
+// Close marks the queue closed and wakes all waiters. Only a bounded
+// queue can have a Push waiting on notFull.
 func (q *Queue[V]) Close(t *core.Thread) {
 	q.mu.Lock(t)
 	q.closed.Write(t, true)
 	q.notEmpty.Broadcast(t)
-	q.notFull.Broadcast(t)
+	if q.capacity > 0 {
+		q.notFull.Broadcast(t)
+	}
 	q.mu.Unlock(t)
-}
-
-// Len reports the current queue length.
-func (q *Queue[V]) Len(t *core.Thread) int {
-	q.mu.Lock(t)
-	defer q.mu.Unlock(t)
-	return len(q.items.Read(t))
 }

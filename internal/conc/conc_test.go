@@ -35,120 +35,6 @@ func bothStrategies(t *testing.T, body func(rt *core.Runtime) func(*core.Thread)
 	}
 }
 
-func TestRWMutexExclusion(t *testing.T) {
-	bothStrategies(t, func(rt *core.Runtime) func(*core.Thread) {
-		return func(main *core.Thread) {
-			l := NewRWMutex(rt, "rw")
-			data := core.NewVar(rt, "data", 0)
-			var hs []*core.Handle
-			for w := 0; w < 2; w++ {
-				hs = append(hs, main.Spawn(fmt.Sprintf("writer-%d", w), func(tw *core.Thread) {
-					for i := 0; i < 5; i++ {
-						l.Lock(tw)
-						data.Update(tw, func(v int) int { return v + 1 })
-						l.Unlock(tw)
-					}
-				}))
-			}
-			for r := 0; r < 3; r++ {
-				hs = append(hs, main.Spawn(fmt.Sprintf("reader-%d", r), func(tr *core.Thread) {
-					for i := 0; i < 5; i++ {
-						l.RLock(tr)
-						_ = data.Read(tr)
-						l.RUnlock(tr)
-					}
-				}))
-			}
-			for _, h := range hs {
-				main.Join(h)
-			}
-			if got := data.Read(main); got != 10 {
-				panic(fmt.Sprintf("writer increments lost: %d", got))
-			}
-		}
-	})
-}
-
-func TestRWMutexConcurrentReadersRaceFreeCheckedWrite(t *testing.T) {
-	// A write under only an RLock must be reported as a race against a
-	// concurrent reader — the detector sees through misuse of the lock.
-	raced := false
-	for seed := uint64(1); seed <= 20 && !raced; seed++ {
-		rep := run(t, demo.StrategyRandom, seed, func(rt *core.Runtime) func(*core.Thread) {
-			return func(main *core.Thread) {
-				l := NewRWMutex(rt, "rw")
-				data := core.NewVar(rt, "data", 0)
-				h := main.Spawn("bad-writer", func(w *core.Thread) {
-					l.RLock(w)
-					data.Write(w, 1) // misuse: write under read lock
-					l.RUnlock(w)
-				})
-				l.RLock(main)
-				_ = data.Read(main)
-				l.RUnlock(main)
-				main.Join(h)
-			}
-		})
-		raced = rep.RaceCount() > 0
-	}
-	if !raced {
-		t.Error("write-under-RLock race never detected")
-	}
-}
-
-func TestSemaphoreBoundsConcurrency(t *testing.T) {
-	bothStrategies(t, func(rt *core.Runtime) func(*core.Thread) {
-		return func(main *core.Thread) {
-			sem := NewSemaphore(rt, "sem", 2)
-			inMu := rt.NewMutex("in.mu")
-			inside := core.NewVar(rt, "inside", 0)
-			peak := core.NewVar(rt, "peak", 0)
-			var hs []*core.Handle
-			for w := 0; w < 5; w++ {
-				hs = append(hs, main.Spawn(fmt.Sprintf("s-%d", w), func(tw *core.Thread) {
-					sem.Acquire(tw)
-					inMu.Lock(tw)
-					n := inside.Read(tw) + 1
-					inside.Write(tw, n)
-					if n > peak.Read(tw) {
-						peak.Write(tw, n)
-					}
-					inMu.Unlock(tw)
-					tw.Yield()
-					inMu.Lock(tw)
-					inside.Update(tw, func(v int) int { return v - 1 })
-					inMu.Unlock(tw)
-					sem.Release(tw)
-				}))
-			}
-			for _, h := range hs {
-				main.Join(h)
-			}
-			if p := peak.Read(main); p > 2 {
-				panic(fmt.Sprintf("semaphore admitted %d concurrent holders", p))
-			}
-		}
-	})
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	run(t, demo.StrategyQueue, 1, func(rt *core.Runtime) func(*core.Thread) {
-		return func(main *core.Thread) {
-			sem := NewSemaphore(rt, "sem", 1)
-			if !sem.TryAcquire(main) {
-				panic("first TryAcquire failed")
-			}
-			if sem.TryAcquire(main) {
-				panic("second TryAcquire succeeded on empty semaphore")
-			}
-			sem.Release(main)
-			if !sem.TryAcquire(main) {
-				panic("TryAcquire after Release failed")
-			}
-		}
-	})
-}
-
 func TestBarrierPhases(t *testing.T) {
 	bothStrategies(t, func(rt *core.Runtime) func(*core.Thread) {
 		return func(main *core.Thread) {
@@ -178,31 +64,6 @@ func TestBarrierPhases(t *testing.T) {
 			for _, h := range hs {
 				main.Join(h)
 			}
-		}
-	})
-}
-
-func TestWaitGroup(t *testing.T) {
-	bothStrategies(t, func(rt *core.Runtime) func(*core.Thread) {
-		return func(main *core.Thread) {
-			wg := NewWaitGroup(rt, "wg")
-			done := core.NewVar(rt, "done", 0)
-			mu := rt.NewMutex("mu")
-			wg.Add(main, 3)
-			for w := 0; w < 3; w++ {
-				main.Spawn(fmt.Sprintf("wg-%d", w), func(tw *core.Thread) {
-					mu.Lock(tw)
-					done.Update(tw, func(v int) int { return v + 1 })
-					mu.Unlock(tw)
-					wg.Done(tw)
-				})
-			}
-			wg.Wait(main)
-			mu.Lock(main)
-			if done.Read(main) != 3 {
-				panic("Wait returned before all Done calls")
-			}
-			mu.Unlock(main)
 		}
 	})
 }
@@ -276,6 +137,49 @@ func TestQueueSingleElementOrder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQueueVisibleOperationCost pins what one Push, Pop and Close cost in
+// scheduling points. An unbounded queue must cost exactly what the
+// hand-written one-condvar queue costs (Lock/Signal/Unlock, Lock/Unlock,
+// Lock/Broadcast/Unlock); a bounded one exactly one notFull Signal and one
+// notFull Broadcast more.
+func TestQueueVisibleOperationCost(t *testing.T) {
+	ticks := func(body func(rt *core.Runtime) func(*core.Thread)) uint64 {
+		return run(t, demo.StrategyQueue, 1, body).Ticks
+	}
+	handWritten := ticks(func(rt *core.Runtime) func(*core.Thread) {
+		mu := rt.NewMutex("q.mu")
+		cv := rt.NewCond("q.cv", mu)
+		return func(main *core.Thread) {
+			mu.Lock(main)
+			cv.Signal(main)
+			mu.Unlock(main)
+			mu.Lock(main)
+			mu.Unlock(main)
+			mu.Lock(main)
+			cv.Broadcast(main)
+			mu.Unlock(main)
+		}
+	})
+	script := func(capacity int) func(rt *core.Runtime) func(*core.Thread) {
+		return func(rt *core.Runtime) func(*core.Thread) {
+			q := NewQueue[int](rt, "q", capacity)
+			return func(main *core.Thread) {
+				q.Push(main, 7)
+				if v, ok := q.Pop(main); !ok || v != 7 {
+					panic(fmt.Sprintf("Pop = %d, %v", v, ok))
+				}
+				q.Close(main)
+			}
+		}
+	}
+	if got := ticks(script(0)); got != handWritten {
+		t.Errorf("unbounded queue: %d ticks, hand-written queue %d", got, handWritten)
+	}
+	if got := ticks(script(4)); got != handWritten+2 {
+		t.Errorf("bounded queue: %d ticks, want hand-written %d + 2", got, handWritten)
+	}
 }
 
 // TestConcRecordReplay: programs built on the conc library replay exactly.

@@ -237,16 +237,11 @@ func (t *Thread) Select(readFDs []int) ([]int, env.Errno) {
 		}
 		return sysResult{ret: int64(len(ready)), errno: errno, bufs: [][]byte{out}}
 	})
-	if t.rt.rep != nil {
-		var ready []int
-		if len(r.bufs) == 1 {
-			for i := 0; i+4 <= len(r.bufs[0]); i += 4 {
-				ready = append(ready, int(binary.LittleEndian.Uint32(r.bufs[0][i:])))
-			}
-		}
-		return ready, r.errno
+	// A live call returns a non-nil set; a replayed empty one stays nil.
+	var ready []int
+	if t.rt.rep == nil {
+		ready = make([]int, 0, r.ret)
 	}
-	ready := make([]int, 0, r.ret)
 	if len(r.bufs) == 1 {
 		for i := 0; i+4 <= len(r.bufs[0]); i += 4 {
 			ready = append(ready, int(binary.LittleEndian.Uint32(r.bufs[0][i:])))
@@ -367,15 +362,12 @@ func (t *Thread) Close(fd int) env.Errno {
 // Pipe creates an IPC pipe, returning (readFD, writeFD).
 func (t *Thread) Pipe() (int, int) {
 	var pr, pw int
+	// Structural calls are never recorded, so the live call runs during
+	// replay too and pr/pw are valid either way.
 	t.syscall(env.SysPipe, -1, func() sysResult {
 		pr, pw = t.rt.world.Pipe()
 		return sysResult{}
 	})
-	if t.rt.rep == nil {
-		return pr, pw
-	}
-	// During replay the live call above ran too (structural calls are
-	// never recorded), so pr/pw are valid either way.
 	return pr, pw
 }
 

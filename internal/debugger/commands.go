@@ -205,6 +205,10 @@ func (e *Executor) where() {
 		fmt.Fprintf(e.W, "at end: tick %d (replay complete)\n", s.Pos())
 		return
 	}
+	if s.Pending() == nil {
+		fmt.Fprintf(e.W, "at tick %d; the replay stopped short of tick %d\n", s.Pos(), s.FinalTick())
+		return
+	}
 	fmt.Fprintf(e.W, "at tick %d; next %s\n", s.Pos(), s.Pending())
 }
 

@@ -238,7 +238,9 @@ func (s *Session) restart(target uint64) error {
 		return &VerifyError{Tick: cp.Tick, Diff: cp.Diff(got)}
 	}
 	s.cur = run
-	s.applyPause(info)
+	if err := s.applyPause(info); err != nil {
+		return err
+	}
 	if target > s.pos && !s.atEnd {
 		return s.forward(target)
 	}
@@ -249,22 +251,28 @@ func (s *Session) restart(target uint64) error {
 func (s *Session) forward(target uint64) error {
 	dc := s.cur.dc
 	dc.ResumeTo(target)
-	s.applyPause(dc.WaitPause())
-	return nil
+	return s.applyPause(dc.WaitPause())
 }
 
-// applyPause folds a pause (or completion) into the session position.
-func (s *Session) applyPause(info core.PauseInfo) {
+// applyPause folds a pause (or completion) into the session position. A
+// run that finished short of the first pass's final tick stopped early:
+// the session is not at the end, and the run's cause is returned.
+func (s *Session) applyPause(info core.PauseInfo) error {
 	if info.Paused {
 		p := info.Pending
 		s.pos = p.Tick - 1
 		s.pending = &p
 		s.atEnd = false
-		return
+		return nil
 	}
 	s.pos = info.Report.Ticks
 	s.pending = nil
+	if s.pos < s.finalTick {
+		s.atEnd = false
+		return fmt.Errorf("debugger: replay stopped at tick %d of %d: %w", s.pos, s.finalTick, info.Err)
+	}
 	s.atEnd = true
+	return nil
 }
 
 // Pos returns the session position: how many ticks of the replay have
@@ -332,8 +340,7 @@ func (s *Session) StepThread(tid sched.TID) error {
 	}
 	dc := s.cur.dc
 	dc.ResumeThread(tid)
-	s.applyPause(dc.WaitPause())
-	return nil
+	return s.applyPause(dc.WaitPause())
 }
 
 // ReverseStep moves n visible operations backwards.
@@ -379,7 +386,9 @@ func (s *Session) Continue() (bool, error) {
 	}
 	dc := s.cur.dc
 	dc.ResumeBreaks(s.breaks)
-	s.applyPause(dc.WaitPause())
+	if err := s.applyPause(dc.WaitPause()); err != nil {
+		return false, err
+	}
 	return !s.atEnd, nil
 }
 

@@ -1,6 +1,7 @@
 package debugger
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -118,6 +119,33 @@ func TestSessionNavigation(t *testing.T) {
 	}
 	if s.Pos() != 0 || s.AtEnd() {
 		t.Fatalf("rewind to 0: pos = %d atEnd = %v", s.Pos(), s.AtEnd())
+	}
+}
+
+// TestEarlyStopIsNotTheEnd: a live run that stops before the first pass's
+// final tick reports its cause to the navigation call and leaves the
+// session short of the end, still able to travel back.
+func TestEarlyStopIsNotTheEnd(t *testing.T) {
+	d, _ := recordDemo(t, "ms-queue", 1, 2)
+	s := mustSession(t, "ms-queue", d, 16)
+	if err := s.RunToTick(5); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("injected stop")
+	s.cur.dc.Kill(stop)
+	if err := s.Step(1); !errors.Is(err, stop) {
+		t.Fatalf("Step after the run stopped = %v, want the stop cause", err)
+	}
+	if s.AtEnd() {
+		t.Fatalf("session reports the end at tick %d of %d", s.Pos(), s.FinalTick())
+	}
+	var out strings.Builder
+	(&Executor{S: s, W: &out}).where()
+	if strings.Contains(out.String(), "replay complete") {
+		t.Errorf("where after an early stop: %q", out.String())
+	}
+	if err := s.RunToTick(3); err != nil || s.Pos() != 3 {
+		t.Fatalf("RunToTick(3) after the stop: pos %d, %v", s.Pos(), err)
 	}
 }
 

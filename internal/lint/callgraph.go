@@ -48,7 +48,7 @@ type interState struct {
 
 	// lockNames maps the variable or struct field a lock is bound to at
 	// its creation site to the constant name string passed to
-	// NewMutex/NewRWMutex (the lock's global identity).
+	// NewMutex (the lock's global identity).
 	lockNames map[*types.Var]string
 
 	// Cached analysis results (computed on demand).
@@ -162,14 +162,10 @@ func (ix *interState) recordLockName(pkg *Package, file *ast.File, call *ast.Cal
 }
 
 // lockCreationName reports the constant name argument if call constructs a
-// core.Mutex or conc.RWMutex.
+// core.Mutex.
 func lockCreationName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if _, ok := methodOn(info, call, "internal/core", "Runtime", "NewMutex"); ok {
 		return constStringArg(info, call, 0)
-	}
-	if f := calleeFuncObj(info, call); f != nil && f.Name() == "NewRWMutex" &&
-		f.Pkg() != nil && pathHasSuffix(f.Pkg().Path(), "internal/conc") {
-		return constStringArg(info, call, 1)
 	}
 	return "", false
 }

@@ -11,21 +11,21 @@ import (
 
 // LockOrder is the whole-program static deadlock detector: it computes,
 // per function and transitively through the call graph, the set of
-// core.Mutex / conc.RWMutex objects held at each Lock site, builds the
-// global lock-acquisition-order graph, and reports every cycle with one
-// witness path per edge. Two threads that acquire the same pair of locks
-// in opposite orders can each hold one and block forever on the other —
+// core.Mutex objects held at each Lock site, builds the global
+// lock-acquisition-order graph, and reports every cycle with one witness
+// path per edge. Two threads that acquire the same pair of locks in
+// opposite orders can each hold one and block forever on the other —
 // under the controlled scheduler some schedule WILL find that interleaving
 // and the recording will hang rather than merely race.
 //
-// Locks are keyed by the constant name passed to rt.NewMutex(name) /
-// conc.NewRWMutex(rt, name) when the creation site binds a variable or
-// struct field the analysis can see; unnamed locks fall back to their
-// variable/field identity. The analysis is syntactic over each function
-// body (no path sensitivity) and CHA-imprecise across calls, so it
-// over-approximates: a reported cycle that is intentional (try-lock
-// back-off, guaranteed-disjoint instances) is waived with
-// //tsanrec:allow(lockorder) on any statement contributing an edge.
+// Locks are keyed by the constant name passed to rt.NewMutex(name) when
+// the creation site binds a variable or struct field the analysis can
+// see; unnamed locks fall back to their variable/field identity. The
+// analysis is syntactic over each function body (no path sensitivity) and
+// CHA-imprecise across calls, so it over-approximates: a reported cycle
+// that is intentional (try-lock back-off, guaranteed-disjoint instances)
+// is waived with //tsanrec:allow(lockorder) on any statement contributing
+// an edge.
 type LockOrder struct{}
 
 // Name implements Analyzer.
@@ -68,7 +68,7 @@ type heldRef struct {
 	chain  []token.Position
 }
 
-// acquireSite is one Lock/RLock call in a function, with the locks locally
+// acquireSite is one Lock call in a function, with the locks locally
 // held when control reaches it.
 type acquireSite struct {
 	key        string
@@ -259,9 +259,7 @@ func (ix *interState) scanFunction(fn *funcNode) *fnLockSummary {
 }
 
 // classifyLockCall resolves call as a tracked lock acquisition or release
-// and returns the lock's identity. RLock/RUnlock share the write side's
-// identity: read and write acquisitions of one RWMutex are ordering
-// events on the same object.
+// and returns the lock's identity.
 func (ix *interState) classifyLockCall(pkg *Package, call *ast.CallExpr) (heldRef, bool, bool) {
 	for _, p := range pairings {
 		if recv, ok := methodOn(pkg.Info, call, p.pkgSuffix, p.typeName, p.acquire); ok {

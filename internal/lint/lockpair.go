@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// LockPair verifies that every core.Mutex / conc.RWMutex acquisition has a
-// matching release on all paths out of the function (directly or via
-// defer). A lock whose unlock is skipped on some path permanently disables
-// every thread that later blocks on it — under the controlled scheduler
-// that is not a livelock that might resolve, it is a guaranteed deadlock
-// at some schedules and a recording that can never replay past the hang.
+// LockPair verifies that every core.Mutex acquisition has a matching
+// release on all paths out of the function (directly or via defer). A
+// lock whose unlock is skipped on some path permanently disables every
+// thread that later blocks on it — under the controlled scheduler that is
+// not a livelock that might resolve, it is a guaranteed deadlock at some
+// schedules and a recording that can never replay past the hang.
 //
 // The analysis is a per-function CFG walk: from each Lock call it searches
 // every path to the function exit for a matching Unlock on the same
@@ -25,7 +25,7 @@ func (LockPair) Name() string { return "lockpair" }
 
 // Doc implements Analyzer.
 func (LockPair) Doc() string {
-	return "every core.Mutex/conc.RWMutex Lock must reach a matching Unlock on all paths (or defer it)"
+	return "every core.Mutex Lock must reach a matching Unlock on all paths (or defer it)"
 }
 
 // lockCall is one resolved acquisition or release site.
@@ -41,8 +41,6 @@ var pairings = []struct {
 	pkgSuffix, typeName, acquire, release string
 }{
 	{"internal/core", "Mutex", "Lock", "Unlock"},
-	{"internal/conc", "RWMutex", "Lock", "Unlock"},
-	{"internal/conc", "RWMutex", "RLock", "RUnlock"},
 }
 
 // resolveLockCall classifies call as a tracked acquire/release, if it is one.

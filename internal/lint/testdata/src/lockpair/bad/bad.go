@@ -2,10 +2,7 @@
 // on at least one path out of the function.
 package bad
 
-import (
-	"repro/internal/conc"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 func earlyReturn(rt *core.Runtime, t *core.Thread, cond bool) {
 	mu := rt.NewMutex("mu")
@@ -16,13 +13,13 @@ func earlyReturn(rt *core.Runtime, t *core.Thread, cond bool) {
 	mu.Unlock(t)
 }
 
-func readLockLeak(rt *core.Runtime, t *core.Thread, n int) int {
-	l := conc.NewRWMutex(rt, "l")
-	l.RLock(t) // want lockpair
+func valueReturnLeak(rt *core.Runtime, t *core.Thread, n int) int {
+	l := rt.NewMutex("l")
+	l.Lock(t) // want lockpair
 	if n > 0 {
-		return n // leaks the read lock
+		return n // leaks the lock
 	}
-	l.RUnlock(t)
+	l.Unlock(t)
 	return 0
 }
 

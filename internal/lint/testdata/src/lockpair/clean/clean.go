@@ -1,12 +1,9 @@
 // Package clean is a lockpair fixture: the release patterns the check
 // accepts — straight-line, deferred, per-branch, aborting paths, TryLock,
-// and a waived correlated-guard pair.
+// a lock taken and released in a loop, and a waived correlated-guard pair.
 package clean
 
-import (
-	"repro/internal/conc"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 func straightLine(rt *core.Runtime, t *core.Thread) {
 	mu := rt.NewMutex("mu")
@@ -49,11 +46,11 @@ func tryLockUntracked(rt *core.Runtime, t *core.Thread) {
 	}
 }
 
-func readersInLoop(rt *core.Runtime, t *core.Thread, n int) {
-	l := conc.NewRWMutex(rt, "l")
+func lockInLoop(rt *core.Runtime, t *core.Thread, n int) {
+	l := rt.NewMutex("l")
 	for i := 0; i < n; i++ {
-		l.RLock(t)
-		l.RUnlock(t)
+		l.Lock(t)
+		l.Unlock(t)
 	}
 }
 
