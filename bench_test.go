@@ -266,6 +266,27 @@ func BenchmarkVisibleOpThreads(b *testing.B) {
 	}
 }
 
+// BenchmarkNeedleRun measures one whole controlled run of the needle
+// litmus program, core.New to report: random under seeds (1, 2), recorded
+// in memory, with the reschedule watchdog off — the trial racehunt's
+// sweeps repeat, a few hundred visible operations. With -benchmem its
+// allocs/op is the fixed cost a run pays to set up and tear down, which
+// internal/core's TestNeedleRunAllocs bounds.
+func BenchmarkNeedleRun(b *testing.B) {
+	p, _ := litmus.ByName("needle")
+	opts := core.RecordOptions(demo.StrategyRandom, 1, 2)
+	opts.RescheduleQuantum = -1
+	for i := 0; i < b.N; i++ {
+		rt, err := core.New(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rt.Run(p.Body(rt)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRecordStreaming measures what the crash-safe streaming writer
 // adds to the record path. The hotpath sub-benchmark drives NoteSchedule
 // directly against a disk-backed recorder while the background flusher

@@ -9,6 +9,10 @@
 // tsan11-model race detector (internal/tsan), the sparse record/replay
 // engine (internal/demo) and a virtual environment (internal/env).
 //
+// Run runs the main thread on the goroutine that calls it and each spawned
+// thread on a goroutine of its own. The watchdog that forces reschedules
+// and declares deadlocks is a timer, not a thread (§3.3).
+//
 // Configuration goes through Options, normally built with one of the
 // preset constructors — RecordOptions (controlled strategy + recording),
 // ReplayOptions (replay a demo, strategy and seeds from its header) and
@@ -128,9 +132,9 @@ type Runtime struct {
 	widx *tsan.WriteIndex
 
 	mu       sync.Mutex
-	handlers map[int32]signalHandler
-	sigTID   TID               // thread that receives external signals
-	unc      uncontrolledState // an int32 beside sigTID keeps Runtime in its 768 B size class
+	handlers map[int32]signalHandler // made when the first handler is bound
+	sigTID   TID                     // thread that receives external signals
+	unc      uncontrolledState       // an int32 beside sigTID keeps Runtime in its 768 B size class
 	output   []byte
 	held     map[TID]*Thread // threads that ended with uncommitted output
 	nextSync uint64          // mutex/cond id allocator
@@ -138,10 +142,9 @@ type Runtime struct {
 	arena    arenaState
 	locks    []*Mutex // every instrumented mutex, for held-lock dumps
 
-	uthreads map[TID]*Thread
+	uthreads map[TID]*Thread // uncontrolled runs only
 
-	wg       sync.WaitGroup
-	stopWdog chan struct{}
+	wg sync.WaitGroup
 }
 
 type signalHandler func(t *Thread, sig int32)
@@ -167,16 +170,12 @@ func New(opts Options) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{
-		opts:     opts,
-		handlers: make(map[int32]signalHandler),
-		sigTID:   0,
-		uthreads: make(map[TID]*Thread),
-		stopWdog: make(chan struct{}),
-		tr:       opts.Trace,
-		mx:       opts.Metrics,
-		obsOn:    opts.Trace != nil || opts.Metrics != nil,
-		dbg:      opts.Debug,
-		widx:     opts.WriteIndex,
+		opts:  opts,
+		tr:    opts.Trace,
+		mx:    opts.Metrics,
+		obsOn: opts.Trace != nil || opts.Metrics != nil,
+		dbg:   opts.Debug,
+		widx:  opts.WriteIndex,
 	}
 	if rt.dbg != nil {
 		if err := rt.dbg.bind(rt); err != nil {
@@ -192,6 +191,7 @@ func New(opts Options) (*Runtime, error) {
 
 	if opts.Uncontrolled {
 		rt.unc.init()
+		rt.uthreads = make(map[TID]*Thread)
 		rt.det = tsan.New(prng.New(seed1, seed2), tsan.Options{
 			HistoryDepth:          opts.HistoryDepth,
 			SequentialConsistency: opts.SequentialConsistency,
@@ -326,20 +326,15 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	if rt.opts.StartupOverhead > 0 {
 		spin(rt.opts.StartupOverhead)
 	}
-	rt.startWatchdog()
+	wdog := rt.startWatchdog()
 
-	done := make(chan struct{})
 	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		defer close(done)
-		rt.threadBody(main, fn)
-	}()
-	<-done
+	rt.threadBody(main, fn)
+	rt.wg.Done()
 
 	leaked := rt.sch.Shutdown()
 	rt.wg.Wait()
-	close(rt.stopWdog)
+	wdog.stop()
 	rt.world.Shutdown()
 	rt.flushHeldOutput()
 
@@ -478,7 +473,6 @@ func (rt *Runtime) finishObs(rep *Report, start time.Time) {
 // threadBody runs fn on t, recovering scheduler aborts and application
 // panics, and deregistering the thread on normal completion.
 func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
-	normal := false
 	defer func() {
 		// Aborted at a Wait or panicked: output printed since the last
 		// critical section was never committed. Run flushes it.
@@ -493,9 +487,8 @@ func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			if ab, ok := r.(sched.Abort); ok {
-				_ = ab // scheduler-initiated unwind; cause is in sch.Err()
-				return
+			if _, ok := r.(sched.Abort); ok {
+				return // scheduler-initiated unwind; cause is in sch.Err()
 			}
 			rt.mu.Lock()
 			if rt.appErr == nil {
@@ -503,9 +496,7 @@ func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 			}
 			rt.mu.Unlock()
 			rt.sch.Stop(rt.appErr)
-			return
 		}
-		_ = normal
 	}()
 	if rt.opts.Sequentialize {
 		// Under the rr model instrumented execution is serialised: a
@@ -521,52 +512,74 @@ func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 	t.exit()
 }
 
-// startWatchdog launches the background thread the paper co-opts from
-// tsan (§3.3): every quantum it forces a reschedule if the current thread
-// is stuck in an invisible region, and it declares deadlock when the
-// execution has been idle for two consecutive quanta. It also enforces
-// WallTimeout, which does not count time a debugger holds the run paused.
-func (rt *Runtime) startWatchdog() {
-	quantum := rt.opts.RescheduleQuantum
-	if quantum < 0 {
-		quantum = 100 * time.Millisecond // deadlock detection only
+// watchdog is the timer that stands in for the background thread tsan
+// lends the paper (§3.3): every quantum it forces a reschedule if the
+// current thread is stuck in an invisible region, and it declares deadlock
+// when the execution has been idle for two consecutive quanta. It also
+// enforces WallTimeout, which does not count time a debugger holds the run
+// paused. Each check re-arms the timer; mu orders the checks against stop.
+type watchdog struct {
+	rt             *Runtime
+	mu             sync.Mutex
+	t              *time.Timer // nil once stopped
+	quantum        time.Duration
+	last, deadline time.Time // the previous check, and the wall timeout
+	idle           int       // consecutive idle checks
+}
+
+func (rt *Runtime) startWatchdog() *watchdog {
+	now := time.Now()
+	w := &watchdog{rt: rt, quantum: rt.opts.RescheduleQuantum, last: now, deadline: now.Add(rt.opts.WallTimeout)}
+	if w.quantum < 0 {
+		w.quantum = 100 * time.Millisecond // deadlock detection only
 	}
-	reschedule := rt.opts.RescheduleQuantum > 0
-	last := time.Now()
-	deadline := last.Add(rt.opts.WallTimeout)
-	go func() {
-		ticker := time.NewTicker(quantum)
-		defer ticker.Stop()
-		idleStreak := 0
-		for {
-			select {
-			case <-rt.stopWdog:
-				return
-			case <-ticker.C:
-				now := time.Now()
-				if rt.opts.Debug != nil && rt.opts.Debug.holding() {
-					// Held since the last check, to within one quantum.
-					deadline = deadline.Add(now.Sub(last))
-				}
-				last = now
-				if now.After(deadline) {
-					rt.sch.Stop(fmt.Errorf("core: wall timeout after %v", rt.opts.WallTimeout))
-					return
-				}
-				if rt.sch.Idle() {
-					idleStreak++
-					if idleStreak >= 2 {
-						rt.sch.DeclareDeadlock()
-					}
-					continue
-				}
-				idleStreak = 0
-				if reschedule {
-					rt.sch.ForceReschedule()
-				}
-			}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.t = time.AfterFunc(w.quantum, w.check)
+	return w
+}
+
+// check is one firing: it re-arms the timer unless the run is stopped or
+// has hit its wall timeout.
+func (w *watchdog) check() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.t == nil {
+		return
+	}
+	rt := w.rt
+	now := time.Now()
+	if rt.opts.Debug != nil && rt.opts.Debug.holding() {
+		// Held since the last check, to within one quantum.
+		w.deadline = w.deadline.Add(now.Sub(w.last))
+	}
+	w.last = now
+	if now.After(w.deadline) {
+		rt.sch.Stop(fmt.Errorf("core: wall timeout after %v", rt.opts.WallTimeout))
+		return
+	}
+	if rt.sch.Idle() {
+		w.idle++
+		if w.idle >= 2 {
+			rt.sch.DeclareDeadlock()
 		}
-	}()
+	} else {
+		w.idle = 0
+		if rt.opts.RescheduleQuantum > 0 {
+			rt.sch.ForceReschedule()
+		}
+	}
+	w.t.Reset(w.quantum)
+}
+
+// stop ends the checks: none starts its work after stop returns. It drops
+// rt as well, because a stopped timer can stay in the Go runtime's timer
+// heap, holding check, until its P next cleans the heap.
+func (w *watchdog) stop() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.t.Stop()
+	w.t, w.rt = nil, nil
 }
 
 // nextSyncID allocates a mutex/cond identifier.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/env"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/tsan"
 )
 
@@ -207,8 +208,9 @@ func UncontrolledOptions(disableRaces bool) Options {
 //     override them);
 //   - Debug without Replay (the debugger pauses and restarts replays);
 //   - ReportRaces with DisableRaces (reports require detection);
-//   - a Strategy or HistoryDepth out of range, or PCT parameters on a
-//     strategy that ignores them.
+//   - a Strategy or HistoryDepth out of range, PCT parameters on a
+//     strategy that ignores them, or a pct or delay depth that needs more
+//     distinct change-point ticks than PCTLength holds.
 func (o Options) Validate() error {
 	if o.Strategy > demo.StrategyDelay {
 		return fmt.Errorf("core: unknown strategy %v", o.Strategy)
@@ -260,6 +262,11 @@ func (o Options) Validate() error {
 	if (o.PCTDepth != 0 || o.PCTLength != 0) && !o.Uncontrolled &&
 		o.Strategy != demo.StrategyPCT && o.Strategy != demo.StrategyDelay {
 		return fmt.Errorf("core: PCTDepth/PCTLength only apply to the pct and delay strategies, not %v", o.Strategy)
+	}
+	if !o.Uncontrolled && (o.Strategy == demo.StrategyPCT || o.Strategy == demo.StrategyDelay) {
+		if _, _, err := sched.DepthLength(o.Strategy, o.PCTDepth, o.PCTLength); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/demo"
 	"repro/internal/tsan"
@@ -91,6 +93,38 @@ func TestValidateRejectsFootguns(t *testing.T) {
 func TestNewCallsValidate(t *testing.T) {
 	if _, err := New(Options{Record: true, Replay: &demo.Demo{}}); err == nil {
 		t.Fatal("core.New accepted Record together with Replay")
+	}
+}
+
+// TestNewRejectsDepthPastLength: a pct or delay depth that needs more
+// distinct change-point ticks than PCTLength holds fails Validate, and so
+// core.New, where the scheduler's draw of those ticks used to spin
+// forever. New runs on a goroutine so that a hang fails the test.
+func TestNewRejectsDepthPastLength(t *testing.T) {
+	for _, s := range []demo.Strategy{demo.StrategyPCT, demo.StrategyDelay} {
+		for _, dl := range []struct {
+			depth  int
+			length uint64
+		}{{6, 3}, {0, 1}} {
+			opts := RecordOptions(s, 1, 2)
+			opts.PCTDepth, opts.PCTLength = dl.depth, dl.length
+			if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than length %d", dl.length)) {
+				t.Errorf("%v depth %d length %d: Validate = %v", s, dl.depth, dl.length, err)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := New(opts)
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Errorf("%v depth %d length %d: New accepted it", s, dl.depth, dl.length)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("New(%v, depth %d, length %d) still running after 5s", s, dl.depth, dl.length)
+			}
+		}
 	}
 }
 

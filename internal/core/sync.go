@@ -236,20 +236,23 @@ func (c *Cond) Broadcast(t *Thread) {
 // visible operation (§3.2).
 func (t *Thread) Signal(sig int32, handler func(t *Thread, sig int32)) {
 	rt := t.rt
-	if rt.opts.Uncontrolled {
+	bind := func() {
 		rt.mu.Lock()
+		if rt.handlers == nil {
+			rt.handlers = make(map[int32]signalHandler)
+		}
 		rt.handlers[sig] = handler
 		rt.sigTID = t.id
-		rt.uthreads[t.id] = t
+		if rt.opts.Uncontrolled {
+			rt.uthreads[t.id] = t
+		}
 		rt.mu.Unlock()
+	}
+	if rt.opts.Uncontrolled {
+		bind()
 		return
 	}
-	t.criticalOp(obs.KindSigBind, uint64(uint32(sig)), "", func() {
-		rt.mu.Lock()
-		rt.handlers[sig] = handler
-		rt.sigTID = t.id
-		rt.mu.Unlock()
-	})
+	t.criticalOp(obs.KindSigBind, uint64(uint32(sig)), "", bind)
 }
 
 // Raise synchronously raises a signal against the calling thread (the

@@ -164,9 +164,9 @@ type Scheduler struct {
 	mu sync.Mutex
 
 	// gapCond parks external-world callers (signal delivery) that must
-	// wait for the gap between critical sections. Tick signals it only
-	// when gapWaiters is nonzero, so the common no-signal path pays one
-	// integer check instead of a broadcast.
+	// wait for the gap between critical sections; it is made at the first
+	// such wait. Tick signals it only when gapWaiters is nonzero, so the
+	// common no-signal path pays one integer check instead of a broadcast.
 	gapCond    *sync.Cond
 	gapWaiters int
 
@@ -189,7 +189,8 @@ type Scheduler struct {
 	queueSeq uint64
 
 	// mutexWaiters and condWaiters track which threads are blocked on
-	// which mutex or condition variable, in arrival order.
+	// which mutex or condition variable, in arrival order. Each is made
+	// when a thread first blocks on one.
 	mutexWaiters map[uint64][]TID
 	condWaiters  map[uint64][]TID
 
@@ -203,14 +204,9 @@ type Scheduler struct {
 	decisions *obs.Counter
 
 	// recent is a flight recorder of the last scheduling decisions,
-	// surfaced in desynchronisation diagnostics.
-	recent [64]recentTick
-}
-
-// recentTick is one flight-recorder entry.
-type recentTick struct {
-	Tick uint64
-	TID  TID
+	// surfaced in desynchronisation diagnostics: tick t's thread sits in
+	// slot t%64, so the slot gives the tick back.
+	recent [64]TID
 }
 
 // New constructs a Scheduler with a registered main thread (TID 0) that is
@@ -225,11 +221,9 @@ func New(opts Options) (*Scheduler, error) {
 			opts.Replayer.Demo().Strategy, opts.Kind)
 	}
 	s := &Scheduler{
-		opts:         opts,
-		rng:          prng.New(opts.Seed1, opts.Seed2),
-		mutexWaiters: make(map[uint64][]TID),
-		condWaiters:  make(map[uint64][]TID),
-		tr:           opts.Trace,
+		opts: opts,
+		rng:  prng.New(opts.Seed1, opts.Seed2),
+		tr:   opts.Trace,
 	}
 	if opts.Metrics != nil {
 		s.decisions = opts.Metrics.Counter("sched.decisions." + opts.Kind.String())
@@ -245,36 +239,21 @@ func New(opts Options) (*Scheduler, error) {
 			}
 		})
 	}
-	s.gapCond = sync.NewCond(&s.mu)
 	switch opts.Kind {
 	case demo.StrategyRandom:
 		s.strategy = &randomStrategy{}
 	case demo.StrategyQueue:
 		s.strategy = &queueStrategy{}
-	case demo.StrategyPCT:
-		d := opts.PCTDepth
-		if d <= 0 {
-			d = 3
+	case demo.StrategyPCT, demo.StrategyDelay:
+		d, n, err := DepthLength(opts.Kind, opts.PCTDepth, opts.PCTLength)
+		if err != nil {
+			return nil, err
 		}
-		n := opts.PCTLength
-		if n == 0 {
-			n = 4096
+		if opts.Kind == demo.StrategyPCT {
+			s.strategy = newPCTStrategy(s, d, n)
+		} else {
+			s.strategy = newDelayStrategy(s, d, n) // the depth knob is the delay budget
 		}
-		st := &pctStrategy{}
-		st.init(s, d, n)
-		s.strategy = st
-	case demo.StrategyDelay:
-		d := opts.PCTDepth // reuse the depth knob as the delay budget
-		if d <= 0 {
-			d = 3
-		}
-		n := opts.PCTLength
-		if n == 0 {
-			n = 4096
-		}
-		st := &delayStrategy{}
-		st.init(s, d, n)
-		s.strategy = st
 	default:
 		return nil, fmt.Errorf("sched: unknown strategy %v", opts.Kind)
 	}
@@ -284,6 +263,28 @@ func New(opts Options) (*Scheduler, error) {
 	s.current = 0
 	s.strategy.onNew(s, main)
 	return s, nil
+}
+
+// DepthLength resolves the pct and delay strategies' depth and length,
+// 3 and 4096 when unset. pct draws depth−1 distinct change-point ticks
+// from 1..length and delay draws depth of them, so a length with fewer
+// ticks than that is an error: the draw would never end.
+func DepthLength(kind demo.Strategy, depth int, length uint64) (int, uint64, error) {
+	if depth <= 0 {
+		depth = 3
+	}
+	if length == 0 {
+		length = 4096
+	}
+	points := uint64(depth)
+	if kind == demo.StrategyPCT {
+		points--
+	}
+	if points > length {
+		return 0, 0, fmt.Errorf("sched: %v depth %d needs %d distinct ticks, more than length %d holds",
+			kind, depth, points, length)
+	}
+	return depth, length, nil
 }
 
 // Rand returns the scheduler's PRNG. It must only be used from inside a
@@ -331,7 +332,9 @@ func (s *Scheduler) failLocked(err error) {
 			th.park.Signal()
 		}
 	}
-	s.gapCond.Broadcast()
+	if s.gapCond != nil {
+		s.gapCond.Broadcast()
+	}
 	if s.opts.OnStop != nil {
 		s.opts.OnStop(err)
 	}
@@ -408,7 +411,7 @@ func (s *Scheduler) TickEvent(tid TID, ev obs.Event) uint64 {
 		// between critical sections, which starts now.
 		s.gapCond.Broadcast()
 	}
-	s.recent[t%uint64(len(s.recent))] = recentTick{Tick: t, TID: tid}
+	s.recent[t%uint64(len(s.recent))] = tid
 
 	if rec := s.opts.Recorder; rec != nil {
 		if s.opts.Kind == demo.StrategyQueue {

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/demo"
 )
@@ -415,5 +419,74 @@ func TestForceRescheduleBeforeFirstTick(t *testing.T) {
 	script(s2, false)
 	if left := rp.Cursors().AsyncsLeft; left != 0 {
 		t.Errorf("replay left %d ASYNC entries unconsumed", left)
+	}
+}
+
+// TestDepthPastLengthFails: pct draws depth−1 distinct change-point ticks
+// from 1..length and delay draws depth of them, so a length with fewer
+// ticks than that must fail New, naming the depth and the length. Such a
+// draw never ends, so New runs on a goroutine and a timeout fails the test
+// instead of hanging it. Configurations that fit still build.
+func TestDepthPastLengthFails(t *testing.T) {
+	for _, c := range []struct {
+		kind   demo.Strategy
+		depth  int
+		length uint64
+		want   string // "" for a configuration that fits
+	}{
+		{demo.StrategyPCT, 6, 3, "depth 6 needs 5 distinct ticks, more than length 3"},
+		{demo.StrategyDelay, 6, 3, "depth 6 needs 6 distinct ticks, more than length 3"},
+		{demo.StrategyPCT, 0, 1, "depth 3 needs 2 distinct ticks, more than length 1"},
+		{demo.StrategyDelay, 0, 1, "depth 3 needs 3 distinct ticks, more than length 1"},
+		{demo.StrategyPCT, 4, 3, ""},
+		{demo.StrategyDelay, 3, 3, ""},
+	} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := New(Options{Kind: c.kind, Seed1: 1, Seed2: 2, PCTDepth: c.depth, PCTLength: c.length})
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%v depth %d length %d: %v", c.kind, c.depth, c.length, err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("%v depth %d length %d: err = %v, want %q", c.kind, c.depth, c.length, err, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("New(%v, depth %d, length %d) still running after 5s", c.kind, c.depth, c.length)
+		}
+	}
+}
+
+// TestRecentScheduleKeepsLast64: past 64 ticks the flight recorder returns
+// exactly the last 64 decisions, oldest first, each with the thread that
+// ran that tick.
+func TestRecentScheduleKeepsLast64(t *testing.T) {
+	h := newHarness(t, Options{Kind: demo.StrategyRandom, Seed1: 5, Seed2: 6})
+	for _, name := range []string{"a", "b"} {
+		var tid TID
+		h.op(0, func() { tid = h.s.ThreadNew(0, name) })
+		h.thread(tid, func() {
+			for i := 0; i < 40; i++ {
+				h.op(tid, nil)
+			}
+		})
+	}
+	for i := 0; i < 20; i++ {
+		h.op(0, nil)
+	}
+	h.op(0, func() { h.s.ThreadDelete(0) })
+	h.wg.Wait()
+	if len(h.order) <= 64 {
+		t.Fatalf("only %d ticks ran", len(h.order))
+	}
+	var want []string
+	for i := len(h.order) - 64; i < len(h.order); i++ {
+		want = append(want, fmt.Sprintf("tick %d: thread %d", i+1, h.order[i]))
+	}
+	if got := h.s.RecentSchedule(); !slices.Equal(got, want) {
+		t.Errorf("RecentSchedule() =\n%q\nwant\n%q", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/demo"
 	"repro/internal/obs"
@@ -49,6 +50,9 @@ func (s *Scheduler) DeliverSignal(tid TID, sig int32) bool {
 		// sections: replay re-applies it at the exact same point, the end
 		// of the Tick whose value is recorded with the event.
 		for !s.stopped && s.current != NoTID && s.threads[s.current].midCritical {
+			if s.gapCond == nil {
+				s.gapCond = sync.NewCond(&s.mu)
+			}
 			s.gapWaiters++
 			s.gapCond.Wait()
 			s.gapWaiters--
@@ -145,15 +149,8 @@ func (s *Scheduler) RecentSchedule() []string {
 	defer s.mu.Unlock()
 	n := uint64(len(s.recent))
 	var out []string
-	start := uint64(1)
-	if s.tick > n {
-		start = s.tick - n + 1
-	}
-	for t := start; t <= s.tick; t++ {
-		e := s.recent[t%n]
-		if e.Tick == t {
-			out = append(out, fmt.Sprintf("tick %d: thread %d", e.Tick, e.TID))
-		}
+	for t := s.tick - min(s.tick, n) + 1; t <= s.tick; t++ {
+		out = append(out, fmt.Sprintf("tick %d: thread %d", t, s.recent[t%n]))
 	}
 	return out
 }

@@ -132,8 +132,8 @@ type pctStrategy struct {
 	changePoints map[uint64]int // tick -> change-point index
 }
 
-func (p *pctStrategy) init(s *Scheduler, depth int, length uint64) {
-	p.changePoints = make(map[uint64]int, depth-1)
+func newPCTStrategy(s *Scheduler, depth int, length uint64) *pctStrategy {
+	p := &pctStrategy{changePoints: make(map[uint64]int, depth-1)}
 	for i := 0; i < depth-1; i++ {
 		// Draw until we find an unused tick so exactly d-1 points exist.
 		for {
@@ -144,6 +144,7 @@ func (p *pctStrategy) init(s *Scheduler, depth int, length uint64) {
 			}
 		}
 	}
+	return p
 }
 
 func (p *pctStrategy) onNew(s *Scheduler, th *thread) {
@@ -194,8 +195,8 @@ type delayStrategy struct {
 	lastRR TID
 }
 
-func (d *delayStrategy) init(s *Scheduler, budget int, length uint64) {
-	d.delays = make(map[uint64]bool, budget)
+func newDelayStrategy(s *Scheduler, budget int, length uint64) *delayStrategy {
+	d := &delayStrategy{delays: make(map[uint64]bool, budget)}
 	for i := 0; i < budget; i++ {
 		for {
 			t := s.rng.Uint64n(length) + 1
@@ -205,6 +206,7 @@ func (d *delayStrategy) init(s *Scheduler, budget int, length uint64) {
 			}
 		}
 	}
+	return d
 }
 
 func (d *delayStrategy) onNew(*Scheduler, *thread)     {}

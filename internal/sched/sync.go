@@ -19,6 +19,9 @@ func (s *Scheduler) MutexLockFail(tid TID, m uint64) {
 	th := s.threads[tid]
 	th.enabled = false
 	th.waitMutex = m
+	if s.mutexWaiters == nil {
+		s.mutexWaiters = make(map[uint64][]TID)
+	}
 	s.mutexWaiters[m] = append(s.mutexWaiters[m], tid)
 }
 
@@ -70,6 +73,9 @@ func (s *Scheduler) CondWait(tid TID, c uint64, timed bool) {
 	th.condTaken = false
 	if !timed {
 		th.enabled = false
+	}
+	if s.condWaiters == nil {
+		s.condWaiters = make(map[uint64][]TID)
 	}
 	s.condWaiters[c] = append(s.condWaiters[c], tid)
 }

@@ -39,12 +39,12 @@ type storeRecord struct {
 // NewAtomicState returns the state for a fresh atomic location holding an
 // initial value, attributed to the creating thread.
 func NewAtomicState(d *Detector, tid TID, init uint64) *AtomicState {
-	a := &AtomicState{lastSC: -1}
+	// The history holds at most HistoryDepth+1 records (appendStore
+	// evicts past HistoryDepth), so it is allocated once at that size.
+	a := &AtomicState{history: make([]storeRecord, 1, d.opts.HistoryDepth+1), lastSC: -1}
 	// The initialisation is a plain write that happens-before everything
 	// the creating thread subsequently releases.
-	a.history = append(a.history, storeRecord{
-		value: init, tid: tid, epoch: d.Epoch(tid),
-	})
+	a.history[0] = storeRecord{value: init, tid: tid, epoch: d.Epoch(tid)}
 	return a
 }
 

@@ -105,7 +105,7 @@ type Detector struct {
 	readPool []*vclock.Clock
 
 	reports  []Report
-	seen     map[reportKey]bool
+	seen     map[reportKey]bool // made at the first report
 	disabled bool
 	tr       *obs.Tracer // trace sink for race reports; nil-safe
 }
@@ -122,11 +122,17 @@ func New(rng *prng.Source, opts Options) *Detector {
 	if opts.MaxReports <= 0 {
 		opts.MaxReports = 128
 	}
+	// The per-thread slices start with room for four threads, so a small
+	// program registers all of its threads without growing them.
 	d := &Detector{
-		opts:    opts,
-		rng:     rng,
-		scClock: &vclock.Clock{},
-		seen:    make(map[reportKey]bool),
+		opts:           opts,
+		rng:            rng,
+		clocks:         make([]*vclock.Clock, 0, 4),
+		scClock:        &vclock.Clock{},
+		pendingAcquire: make([]*vclock.Clock, 0, 4),
+		releaseFence:   make([]vclock.Snapshot, 0, 4),
+		relSnap:        make([]vclock.Snapshot, 0, 4),
+		relGen:         make([]uint64, 0, 4),
 	}
 	d.registerThread(0)
 	return d

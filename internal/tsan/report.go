@@ -43,6 +43,9 @@ func (d *Detector) report(loc string, a, b Access) {
 	if d.seen[key] {
 		return
 	}
+	if d.seen == nil {
+		d.seen = make(map[reportKey]bool)
+	}
 	d.seen[key] = true
 	if len(d.reports) < d.opts.MaxReports {
 		d.reports = append(d.reports, Report{Location: loc, First: a, Second: b})
