@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -351,6 +352,70 @@ func BenchmarkRecordStreaming(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkRecordQueueInMemory records 100k ticks of three round-robin
+// threads without a file, then decodes the recording with Finish. With
+// -benchmem its B/op is what an in-memory recording costs: the recorder
+// holds a bounded QUEUE window plus the batches it cut from it, encoded,
+// and the decode allocates the demo's 800 KB of ticks once. internal/demo's
+// TestInMemoryRecordingAllocatesWindowNotTicks bounds it.
+func BenchmarkRecordQueueInMemory(b *testing.B) {
+	const ticks = 100_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := demo.NewRecorder(demo.StrategyQueue, 1, 2)
+		for tick := uint64(1); tick <= ticks; tick++ {
+			r.NoteSchedule(int32((tick-1)%3), tick)
+		}
+		if d := r.Finish(ticks); len(d.Queue.Ticks) != ticks {
+			b.Fatalf("Finish decoded %d ticks, want %d", len(d.Queue.Ticks), ticks)
+		}
+	}
+}
+
+// BenchmarkDecodeStream decodes a streamed recording shaped like netload's
+// (5,242 ticks over five threads and 1,201 SYSCALL records, half of them
+// with a 12-byte buffer) that was written in 64 flush batches. With
+// -benchmem its allocs/op is the decoder's fixed cost: each array is
+// sized once, however many batches the stream holds.
+func BenchmarkDecodeStream(b *testing.B) {
+	const ticks = 5242
+	path := filepath.Join(b.TempDir(), "bench.demo2")
+	r, err := demo.NewStreamingRecorder(path, demo.StrategyQueue, 1, 2, demo.StreamOptions{FlushInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for tick := uint64(1); tick <= ticks; tick++ {
+		tid := int32(tick * 7 % 5)
+		r.NoteSchedule(tid, tick)
+		if sys := tick / 4; tick%4 == 0 && sys <= 1201 {
+			rec := demo.SyscallRecord{TID: tid, Kind: 7, Ret: int64(sys)}
+			if sys%2 == 1 {
+				rec = demo.SyscallRecord{TID: tid, Kind: 3, Ret: 12, Bufs: [][]byte{[]byte("GET /item42\n")}}
+			}
+			r.AddSyscall(rec)
+		}
+		if tick%(ticks/64+1) == 0 {
+			if err := r.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := r.Close(ticks); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := demo.DecodeStream(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // obsBenchOps is how many visible operations each observability benchmark

@@ -132,7 +132,7 @@ type Runtime struct {
 	widx *tsan.WriteIndex
 
 	mu       sync.Mutex
-	handlers map[int32]signalHandler // made when the first handler is bound
+	handlers map[int32]signalHandler // made, and the world's signal sink registered, when the first handler is bound
 	sigTID   TID                     // thread that receives external signals
 	unc      uncontrolledState       // an int32 beside sigTID keeps Runtime in its 768 B size class
 	output   []byte
@@ -204,7 +204,6 @@ func New(opts Options) (*Runtime, error) {
 		}
 		rt.world.SetTrace(rt.tr)
 		rt.arena.init(opts.DeterministicAlloc)
-		rt.world.RegisterSignalSink(func(sig int32) { rt.deliverSignal(sig) })
 		return rt, nil
 	}
 
@@ -275,7 +274,6 @@ func New(opts Options) (*Runtime, error) {
 	rt.det.SetTrace(rt.tr)
 	rt.world.SetTrace(rt.tr)
 	rt.arena.init(opts.DeterministicAlloc)
-	rt.world.RegisterSignalSink(func(sig int32) { rt.deliverSignal(sig) })
 	return rt, nil
 }
 

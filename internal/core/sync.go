@@ -239,7 +239,10 @@ func (t *Thread) Signal(sig int32, handler func(t *Thread, sig int32)) {
 	bind := func() {
 		rt.mu.Lock()
 		if rt.handlers == nil {
+			// A signal Kill sends before the first handler exists finds
+			// none either way, so the world's sink is registered here.
 			rt.handlers = make(map[int32]signalHandler)
+			rt.world.RegisterSignalSink(rt.deliverSignal)
 		}
 		rt.handlers[sig] = handler
 		rt.sigTID = t.id

@@ -8,6 +8,7 @@ package demo
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/rle"
 )
@@ -65,14 +66,66 @@ func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // payCursor walks encoded bytes: a v2 chunk payload, or a whole v1 file.
-// The first error sticks and turns every later read into a no-op. Counts
-// are never pre-allocated from claimed values: every record consumes at
-// least one byte, so a corrupt count runs out of input instead of forcing
-// a huge allocation.
+// The first error sticks and turns every later read into a no-op.
+//
+// The record decoders below size their arrays once, from counts that
+// cannot outrun their input. A v1 section holds a whole stream, so its
+// decoder grows the array by the section's count, capped by room. A v2
+// stream spreads each record type over many chunks, so buildV2 first runs
+// the decoders over every chunk with counting set, which parses every
+// record and only adds it to n, and then sizes each array at the total;
+// the filling pass finds room for every record already made.
 type payCursor struct {
-	pay []byte
-	off int
-	err error
+	pay      []byte
+	off      int
+	err      error
+	counting bool
+	n        recordCounts
+}
+
+// recordCounts is what a counting pass found: the records of each type and
+// the syscall buffers with their decoded bytes.
+type recordCounts struct {
+	ticks, firsts, sigs, asyncs, sys, bufs, bufBytes int
+}
+
+// bufArena holds the arrays decoded syscall buffers are cut from: the
+// backing array of every record's Bufs, and the unused tail of a byte
+// array that holds the buffers' bytes.
+type bufArena struct {
+	bufs [][]byte
+	tail []byte
+	// sized marks an arena made at a counting pass's totals, whose tail
+	// every buffer fits; otherwise an empty tail is refilled with an array
+	// the size of the rest of the payload, which holds the buffers'
+	// encodings, and a buffer that does not fit gets an array of its own.
+	sized bool
+}
+
+// alloc makes the arrays a v2 demo's records fill, each at its counted
+// total: d's record slices and first-tick map, the QUEUE ticks and the
+// syscall buffers' arena. A record type with no records keeps a nil
+// array, as in a decoder that never appended to it.
+func (n *recordCounts) alloc(d *Demo) (ticks []uint64, a bufArena) {
+	if n.ticks > 0 {
+		ticks = make([]uint64, 0, n.ticks)
+	}
+	if n.firsts > 0 {
+		d.Queue.FirstTick = make(map[int32]uint64, n.firsts)
+	}
+	if n.sigs > 0 {
+		d.Signals = make([]SignalEvent, 0, n.sigs)
+	}
+	if n.asyncs > 0 {
+		d.Asyncs = make([]AsyncEvent, 0, n.asyncs)
+	}
+	if n.sys > 0 {
+		d.Syscalls = make([]SyscallRecord, 0, n.sys)
+	}
+	if n.bufs > 0 {
+		a = bufArena{bufs: make([][]byte, 0, n.bufs), tail: make([]byte, 0, n.bufBytes), sized: true}
+	}
+	return ticks, a
 }
 
 func (c *payCursor) fail(what string) {
@@ -118,17 +171,33 @@ func (c *payCursor) fixed64(what string) uint64 {
 	return binary.LittleEndian.Uint64(c.pay[c.off-8:])
 }
 
-func (c *payCursor) rleUint64s(what string) []uint64 {
+// room caps a claimed count of records, each at least size bytes long, at
+// what the rest of the payload can hold. It sizes an array, never a loop:
+// a corrupt count then allocates no more than its input could back, and
+// the loop reading the records runs out of input.
+func (c *payCursor) room(n uint64, size int) int {
+	return int(min(n, uint64(len(c.pay)-c.off)/uint64(size)))
+}
+
+// rleUint64s appends the RLE stream at the cursor to dst; a counting pass
+// only counts its values.
+func (c *payCursor) rleUint64s(dst []uint64, what string) []uint64 {
 	if c.err != nil {
-		return nil
+		return dst
 	}
-	out, n, err := rle.DecodeUint64s(c.pay[c.off:])
+	var total, k int
+	var err error
+	if c.counting {
+		total, k, err = rle.CountUint64s(c.pay[c.off:])
+		c.n.ticks += total
+	} else {
+		dst, k, err = rle.DecodeUint64s(dst, c.pay[c.off:])
+	}
 	if err != nil {
 		c.err = fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
-		return nil
 	}
-	c.off += n
-	return out
+	c.off += k
+	return dst
 }
 
 func (c *payCursor) exhausted(what string) {
@@ -139,17 +208,21 @@ func (c *payCursor) exhausted(what string) {
 
 // The record decoders below read what the matching encoder wrote and
 // append it to dst, returning dst unchanged (nil or not) for a count of
-// zero. firstTicks allocates its map at the first pair when m is nil.
+// zero; a counting pass appends nothing. firstTicks makes its map when m
+// is nil and the count is not zero.
 
 func (c *payCursor) firstTicks(m map[int32]uint64) map[int32]uint64 {
 	n := c.uvarint("first-tick count")
+	switch {
+	case c.counting:
+		c.n.firsts += int(n)
+	case m == nil && n > 0:
+		m = make(map[int32]uint64, c.room(n, 2))
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		tid := c.uvarint("first-tick tid")
 		first := c.uvarint("first tick")
-		if c.err == nil {
-			if m == nil {
-				m = make(map[int32]uint64)
-			}
+		if c.err == nil && !c.counting {
 			m[int32(uint32(tid))] = first
 		}
 	}
@@ -158,11 +231,16 @@ func (c *payCursor) firstTicks(m map[int32]uint64) map[int32]uint64 {
 
 func (c *payCursor) signals(dst []SignalEvent) []SignalEvent {
 	n := c.uvarint("signal count")
+	if c.counting {
+		c.n.sigs += int(n)
+	} else {
+		dst = slices.Grow(dst, c.room(n, 3))
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		tid := c.uvarint("signal tid")
 		tick := c.uvarint("signal tick")
 		sig := c.uvarint("signal value")
-		if c.err == nil {
+		if c.err == nil && !c.counting {
 			dst = append(dst, SignalEvent{TID: int32(uint32(tid)), Tick: tick, Sig: int32(uint32(sig))})
 		}
 	}
@@ -171,27 +249,32 @@ func (c *payCursor) signals(dst []SignalEvent) []SignalEvent {
 
 func (c *payCursor) asyncs(dst []AsyncEvent) []AsyncEvent {
 	n := c.uvarint("async count")
+	if c.counting {
+		c.n.asyncs += int(n)
+	} else {
+		dst = slices.Grow(dst, c.room(n, 3))
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		kind := AsyncKind(c.byteVal("async kind"))
 		tick := c.uvarint("async tick")
 		tid := c.uvarint("async tid")
-		if c.err == nil {
+		if c.err == nil && !c.counting {
 			dst = append(dst, AsyncEvent{Kind: kind, Tick: tick, TID: int32(uint32(tid))})
 		}
 	}
 	return dst
 }
 
-// syscalls cuts every record's Bufs from one backing array shared by the
-// section, and the buffers' bytes from the unused tail of a byte array
-// sized to the rest of the payload, which holds their encodings, so a
-// section costs a few allocations, not two per record. A buffer that does
-// not fit in the tail gets an array of its own, and an empty tail is
-// refilled the same way, so no buffer is ever copied.
-func (c *payCursor) syscalls(dst []SyscallRecord) []SyscallRecord {
+// syscalls cuts every record's Bufs from a's backing array, and the
+// buffers' bytes from its tail, so a demo's syscall buffers cost a few
+// allocations, not two per record, and no buffer is ever copied.
+func (c *payCursor) syscalls(dst []SyscallRecord, a *bufArena) []SyscallRecord {
 	n := c.uvarint("syscall count")
-	var bufs [][]byte
-	var tail []byte
+	if c.counting {
+		c.n.sys += int(n)
+	} else {
+		dst = slices.Grow(dst, c.room(n, 5))
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		sc := SyscallRecord{
 			TID:   int32(uint32(c.uvarint("syscall tid"))),
@@ -200,23 +283,34 @@ func (c *payCursor) syscalls(dst []SyscallRecord) []SyscallRecord {
 			Errno: int32(uint32(c.uvarint("syscall errno"))),
 		}
 		nBufs := c.uvarint("syscall buf count")
-		first := len(bufs)
+		first := len(a.bufs)
 		for b := uint64(0); b < nBufs && c.err == nil; b++ {
-			if cap(tail) == 0 {
-				tail = make([]byte, 0, len(c.pay)-c.off)
+			if c.counting {
+				total, k, err := rle.CountBytes(c.pay[c.off:])
+				if err != nil {
+					c.err = fmt.Errorf("%w: syscall buf: %w", ErrCorrupt, err)
+					break
+				}
+				c.off += k
+				c.n.bufs++
+				c.n.bufBytes += total
+				continue
 			}
-			buf, k, err := rle.DecodeBytes(tail, c.pay[c.off:])
+			if cap(a.tail) == 0 && !a.sized {
+				a.tail = make([]byte, 0, len(c.pay)-c.off)
+			}
+			buf, k, err := rle.DecodeBytes(a.tail, c.pay[c.off:])
 			if err != nil {
 				c.err = fmt.Errorf("%w: syscall buf: %w", ErrCorrupt, err)
 				break
 			}
 			c.off += k
-			bufs = append(bufs, buf[:len(buf):len(buf)])
-			tail = buf[len(buf):]
+			a.bufs = append(a.bufs, buf[:len(buf):len(buf)])
+			a.tail = buf[len(buf):]
 		}
-		if c.err == nil {
-			if len(bufs) > first {
-				sc.Bufs = bufs[first:len(bufs):len(bufs)]
+		if c.err == nil && !c.counting {
+			if len(a.bufs) > first {
+				sc.Bufs = a.bufs[first:len(a.bufs):len(a.bufs)]
 			}
 			dst = append(dst, sc)
 		}

@@ -224,7 +224,9 @@ func (d *Demo) Encode() []byte {
 
 // Decode parses a demo from its binary form. A section's first-tick map
 // and record slice decode non-nil even when empty, while an empty QUEUE
-// tick list decodes nil (golden_test.go pins both).
+// tick list decodes nil (golden_test.go pins both). Each is allocated
+// once, at the count its section claims, capped by what the rest of the
+// file can hold.
 func Decode(data []byte) (*Demo, error) {
 	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -241,12 +243,14 @@ func Decode(data []byte) (*Demo, error) {
 	for c.err == nil && c.off < len(data) {
 		switch sec := c.byteVal("section tag"); sec {
 		case secQueue:
-			d.Queue.FirstTick = c.firstTicks(map[int32]uint64{})
-			d.Queue.Ticks = c.rleUint64s("queue ticks")
+			if d.Queue.FirstTick = c.firstTicks(nil); d.Queue.FirstTick == nil {
+				d.Queue.FirstTick = map[int32]uint64{}
+			}
+			d.Queue.Ticks = c.rleUint64s(nil, "queue ticks")
 		case secSignal:
 			d.Signals = c.signals([]SignalEvent{})
 		case secSyscall:
-			d.Syscalls = c.syscalls([]SyscallRecord{})
+			d.Syscalls = c.syscalls([]SyscallRecord{}, &bufArena{})
 		case secAsync:
 			d.Asyncs = c.asyncs([]AsyncEvent{})
 		case secMeta:

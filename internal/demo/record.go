@@ -20,8 +20,11 @@ import (
 // run executes, so the in-memory slices hold only the window not yet
 // flushed, arbitrarily long recordings run in bounded memory and the
 // recording of a crashing run survives the crash. One built with
-// NewRecorder has no file: it never flushes, and Finish or Discard decodes
-// its one final batch from memory.
+// NewRecorder has no file: whenever its QUEUE window reaches memWindow
+// slots it cuts the windows into an in-memory spool of encoded batches,
+// the bytes a flush would write, and Finish or Discard decodes the spool
+// and one final batch. It holds a bounded window plus encoded bytes, not
+// 8 bytes a tick.
 type Recorder struct {
 	mu       sync.Mutex // guards the windows, spools, latch and bases
 	strategy Strategy
@@ -36,6 +39,10 @@ type Recorder struct {
 	// out. A zero in lastTick means "never scheduled" (ticks are 1-based).
 	queueDelta []uint64 // slot - deltaBase -> delta to the thread's next tick
 	lastTick   []uint64 // tid -> most recent tick
+
+	// spool holds the batches a recorder without a file has cut, encoded
+	// as its file would hold them after the header.
+	spool []byte
 
 	signals  []SignalEvent
 	asyncs   []AsyncEvent
@@ -71,7 +78,8 @@ type Recorder struct {
 
 	// path and opts are set before the Recorder is shared and never
 	// change. Everything after them belongs to whoever holds flushMu: the
-	// timed flush, Flush, Close, Discard or Finish.
+	// timed flush, Flush, Close, Discard or Finish. A recorder without a
+	// file uses pay only under mu as well, where it cuts its spool.
 	path    string // "" for a recorder without a file
 	opts    StreamOptions
 	flushMu sync.Mutex
@@ -141,6 +149,23 @@ func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	}
 	r.lastTick[tid] = tick
 	r.latchLocked(tick)
+	if r.path == "" && len(r.queueDelta) >= memWindow {
+		r.spoolLocked()
+	}
+}
+
+// memWindow is how many QUEUE slots a recorder without a file holds
+// decoded before it cuts them into its spool: 32 KiB of deltas, and a
+// cut every few thousand ticks costs a queue chunk and a footer of
+// framing.
+const memWindow = 4096
+
+// spoolLocked cuts the windows at the latch into the spool, as a flush
+// would into the file. Caller holds r.mu; the recorder has no file.
+func (r *Recorder) spoolLocked() {
+	b := r.pending(false, 0)
+	r.spool = r.appendBatch(r.spool, &b, false)
+	r.shiftLocked(&b)
 }
 
 // NoteTick latches tick as the latest completed critical section for the

@@ -64,10 +64,11 @@ func decodeV2(data []byte, tolerant bool) (*Demo, error) {
 	seed1 := binary.LittleEndian.Uint64(data[len(magic2)+2:])
 	seed2 := binary.LittleEndian.Uint64(data[len(magic2)+10:])
 
-	// Scan pass: walk intact chunks, collecting footers. The walk stops
-	// at the first chunk that is structurally invalid or fails its CRC —
-	// the torn tail.
+	// Scan pass: walk intact chunks, collecting footers (only the last,
+	// for a strict decode). The walk stops at the first chunk that is
+	// structurally invalid or fails its CRC — the torn tail.
 	var footers []v2Footer
+	var last v2Footer
 	off := v2HeaderLen
 	for off < len(data) {
 		typ, pay, next, ok := parseChunk(data, off)
@@ -83,7 +84,9 @@ func decodeV2(data []byte, tolerant bool) (*Demo, error) {
 				break
 			}
 			fo.end = next
-			footers = append(footers, fo)
+			if last = fo; tolerant {
+				footers = append(footers, fo)
+			}
 		}
 		off = next
 	}
@@ -92,10 +95,10 @@ func decodeV2(data []byte, tolerant bool) (*Demo, error) {
 		if off != len(data) {
 			return nil, fmt.Errorf("%w: torn chunk at offset %d (crashed recording? use Recover)", ErrCorrupt, off)
 		}
-		if len(footers) == 0 || !footers[len(footers)-1].final || footers[len(footers)-1].end != len(data) {
+		if !last.final || last.end != len(data) {
 			return nil, fmt.Errorf("%w: stream does not end in a final footer (crashed recording? use Recover)", ErrCorrupt)
 		}
-		return buildV2(data, strategy, seed1, seed2, footers[len(footers)-1], false)
+		return buildV2(data, strategy, seed1, seed2, last, false)
 	}
 
 	if len(footers) == 0 {
@@ -161,7 +164,10 @@ func parseFooter(pay []byte) (v2Footer, bool) {
 	return fo, c.err == nil
 }
 
-// buildV2 reconstructs the demo from every chunk before fo's end.
+// buildV2 reconstructs the demo from every chunk before fo's end. It
+// reads the chunks twice, counting the records and then filling arrays
+// sized once at those counts (see payCursor), so a recording cut into
+// many chunks allocates what the same records in one chunk would.
 func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, truncated bool) (*Demo, error) {
 	d := &Demo{
 		Strategy:   strategy,
@@ -171,63 +177,67 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 		OutputHash: fo.hash,
 		Truncated:  truncated,
 	}
+	var n recordCounts
 	var ticks []uint64
-	var patches []patchEntry
-	off := v2HeaderLen
-	for off < fo.end {
-		typ, pay, next, ok := parseChunk(data, off)
-		if !ok {
-			// Cannot happen: the scan pass validated every chunk up to fo.
-			return nil, fmt.Errorf("%w: unparseable chunk at offset %d", ErrCorrupt, off)
+	var arena bufArena
+	for _, counting := range [2]bool{true, false} {
+		if !counting {
+			ticks, arena = n.alloc(d)
 		}
-		off = next
-		c := &payCursor{pay: pay}
-		switch typ {
-		case chunkQueue:
-			start := c.uvarint("queue chunk start slot")
-			if c.err == nil && start != uint64(len(ticks)) {
-				return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, len(ticks))
+		c := payCursor{counting: counting}
+		for off := v2HeaderLen; off < fo.end; {
+			typ, pay, next, ok := parseChunk(data, off)
+			if !ok {
+				// Cannot happen: the scan pass validated every chunk up to fo.
+				return nil, fmt.Errorf("%w: unparseable chunk at offset %d", ErrCorrupt, off)
 			}
-			if deltas := c.rleUint64s("queue chunk deltas"); ticks == nil {
-				ticks = deltas // the stream's first chunk: keep it, uncopied
-			} else {
-				ticks = append(ticks, deltas...)
-			}
-			d.Queue.FirstTick = c.firstTicks(d.Queue.FirstTick)
-			nPatches := c.uvarint("queue chunk patch count")
-			for i := uint64(0); i < nPatches && c.err == nil; i++ {
-				slot := c.uvarint("queue chunk patch slot")
-				delta := c.uvarint("queue chunk patch delta")
-				if c.err == nil {
-					patches = append(patches, patchEntry{slot: slot, delta: delta})
+			off = next
+			c.pay, c.off = pay, 0
+			switch typ {
+			case chunkQueue:
+				start, at := c.uvarint("queue chunk start slot"), len(ticks)
+				if counting {
+					at = c.n.ticks
 				}
+				if c.err == nil && start != uint64(at) {
+					return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, at)
+				}
+				ticks = c.rleUint64s(ticks, "queue chunk deltas")
+				d.Queue.FirstTick = c.firstTicks(d.Queue.FirstTick)
+				// A patch backfills a slot an earlier chunk wrote; a
+				// reader that never sees it keeps the slot's 0, "never
+				// scheduled again within this prefix".
+				nPatches := c.uvarint("queue chunk patch count")
+				for i := uint64(0); i < nPatches && c.err == nil; i++ {
+					slot := c.uvarint("queue chunk patch slot")
+					delta := c.uvarint("queue chunk patch delta")
+					if c.err == nil && !counting {
+						if slot >= uint64(len(ticks)) {
+							return nil, fmt.Errorf("%w: queue chunk patches slot %d, which no chunk before it holds", ErrCorrupt, slot)
+						}
+						ticks[slot] = delta
+					}
+				}
+				c.exhausted("queue chunk")
+			case chunkEvents:
+				d.Signals = c.signals(d.Signals)
+				d.Asyncs = c.asyncs(d.Asyncs)
+				d.Syscalls = c.syscalls(d.Syscalls, &arena)
+				c.exhausted("events chunk")
+			case chunkFooter:
+				// Earlier footer candidates are just markers; nothing to apply.
 			}
-			c.exhausted("queue chunk")
-		case chunkEvents:
-			d.Signals = c.signals(d.Signals)
-			d.Asyncs = c.asyncs(d.Asyncs)
-			d.Syscalls = c.syscalls(d.Syscalls)
-			c.exhausted("events chunk")
-		case chunkFooter:
-			// Earlier footer candidates are just markers; nothing to apply.
+			if c.err != nil {
+				return nil, c.err
+			}
 		}
-		if c.err != nil {
-			return nil, c.err
-		}
+		n = c.n // the counting pass's totals; the filling pass counts nothing
 	}
 	if strategy == StrategyQueue {
 		// Slots at or past FinalTick describe ticks beyond the cut; drop
-		// them (they can only appear via defensive clamping) and apply
-		// the backfill patches that landed inside the prefix. Patches
-		// past the cut belong to longer prefixes: without them the slot
-		// keeps 0, "never scheduled again within this prefix".
+		// them (they can only appear via defensive clamping).
 		if uint64(len(ticks)) > fo.tick {
 			ticks = ticks[:fo.tick]
-		}
-		for _, p := range patches {
-			if p.slot < uint64(len(ticks)) {
-				ticks[p.slot] = p.delta
-			}
 		}
 		d.Queue.Ticks = ticks
 	}

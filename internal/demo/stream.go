@@ -42,7 +42,9 @@
 // happened. A run that ends before its first timed flush and is
 // discarded (Discard) never touches the disk at all: its one final batch
 // is decoded from memory. A recorder without a file (NewRecorder) arms no
-// timer and never spills, so Finish and Discard always take that path.
+// timer and never spills, so Finish and Discard always take that path;
+// it cuts its windows into an in-memory spool instead, whenever the QUEUE
+// window fills (record.go), and decodes the spool with the final batch.
 // Crash safety is unchanged by the delay, since a header-only file holds
 // no recoverable prefix. Recovery of torn files is in recover.go.
 //
@@ -288,14 +290,14 @@ func (r *Recorder) Discard(finalTick uint64) (*Demo, error) {
 	return d, nil
 }
 
-// decodeLocked encodes the header and one final batch straight from the
-// windows, without cutting them, and decodes the bytes with DecodeStream,
-// as ReadFile would decode the file. Caller holds flushMu, and the
-// recording has not spilled.
+// decodeLocked encodes the header, the spool and one final batch straight
+// from the windows, without cutting them, and decodes the bytes with
+// DecodeStream, as ReadFile would decode the file. Caller holds flushMu,
+// and the recording has not spilled.
 func (r *Recorder) decodeLocked(finalTick uint64) (*Demo, error) {
 	r.mu.Lock()
 	b := r.pending(true, finalTick)
-	r.enc = r.appendBatch(r.appendHeader(r.enc[:0]), &b, true)
+	r.enc = r.appendBatch(append(r.appendHeader(r.enc[:0]), r.spool...), &b, true)
 	r.mu.Unlock()
 	return DecodeStream(r.enc)
 }
@@ -393,6 +395,13 @@ func (r *Recorder) cutLocked(final bool, finalTick uint64) *batch {
 	s.sigs = append(s.sigs[:0], b.sigs...)
 	s.asyncs = append(s.asyncs[:0], b.asyncs...)
 	s.sys = append(s.sys[:0], b.sys...)
+	r.shiftLocked(&b)
+	return s
+}
+
+// shiftLocked drops b, a batch pending returned, from the windows and
+// advances their bases past it. Caller holds r.mu.
+func (r *Recorder) shiftLocked(b *batch) {
 	r.queueDelta = r.queueDelta[:copy(r.queueDelta, r.queueDelta[len(b.deltas):])]
 	r.deltaBase += uint64(len(b.deltas))
 	r.firsts, r.patches = r.firsts[:0], r.patches[:0]
@@ -402,7 +411,6 @@ func (r *Recorder) cutLocked(final bool, finalTick uint64) *batch {
 	r.sigBase += len(b.sigs)
 	r.asyncBase += len(b.asyncs)
 	r.sysBase += len(b.sys)
-	return s
 }
 
 // appendBatch encodes b as one chunk batch, [queue...][events][footer],

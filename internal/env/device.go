@@ -30,14 +30,11 @@ const (
 )
 
 type display struct {
-	w       *World
 	session uint64
 	inited  bool
 	frames  int64
 	queued  int64
 }
-
-func newDisplay(w *World) *display { return &display{w: w} }
 
 // Ioctl performs a device or socket control call. For the display device
 // the semantics are described above; unknown fds or commands yield ENOTSUP.
@@ -96,5 +93,8 @@ func (w *World) Ioctl(fd int, cmd uint32, in []byte) ([]byte, int64, Errno) {
 func (w *World) DisplayFrames() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.display == nil {
+		return 0
+	}
 	return w.display.frames
 }

@@ -62,6 +62,9 @@ func (w *World) ExternalConnect(port int, timeout time.Duration) (*ExtConn, erro
 			// No listener yet: park a half-open connection for Listen to
 			// adopt.
 			syn = &synConn{b: &buffers{refCount: 2}}
+			if w.synQ == nil {
+				w.synQ = make(map[int][]*synConn)
+			}
 			w.synQ[port] = append(w.synQ[port], syn)
 		}
 		if !w.waitUntilLocked(deadline) {
@@ -90,6 +93,9 @@ func (w *World) removeSynLocked(port int, syn *synConn) {
 // waitUntilLocked waits on the global cond (listener appearance, global
 // events) or the deadline; see waitCondUntilLocked.
 func (w *World) waitUntilLocked(deadline time.Time) bool {
+	if w.cond == nil {
+		w.cond = sync.NewCond(&w.mu)
+	}
 	return w.waitCondUntilLocked(w.cond, deadline)
 }
 
@@ -184,6 +190,9 @@ type ExtListener struct {
 func (w *World) ExternalListen(port int) *ExtListener {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.extPort == nil {
+		w.extPort = make(map[int]*extListener)
+	}
 	w.extPort[port] = &extListener{port: port}
 	return &ExtListener{w: w, port: port}
 }
@@ -250,7 +259,7 @@ func (w *World) stopLocked() {
 		w.stopClosed = true
 		close(w.stopCh)
 	}
-	w.cond.Broadcast()
+	w.broadcastLocked()
 	for _, c := range w.waiterConds {
 		c.Broadcast()
 	}

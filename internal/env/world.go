@@ -21,9 +21,11 @@ type World struct {
 	// with an identifiable object (an external Recv on one connection, an
 	// external Accept on one listener, an epoll waiter) parks on that
 	// object's own gate, so a wakeup costs O(parties affected), not
-	// O(connections).
+	// O(connections). The first such waiter makes it.
 	cond *sync.Cond
 
+	// The maps and the display are made on first write, so a run that
+	// makes no syscall pays for none of them; a nil map reads as empty.
 	start   time.Time
 	nextFD  int
 	fds     map[int]*fdesc
@@ -149,20 +151,12 @@ type extListener struct {
 // same value does NOT make executions deterministic (physical timing still
 // leaks in), matching a real environment.
 func NewWorld(seed uint64) *World {
-	w := &World{
+	return &World{
 		start:   time.Now(),
 		nextFD:  3, // 0..2 reserved, as on POSIX
-		fds:     make(map[int]*fdesc),
-		ports:   make(map[int]*listener),
-		extPort: make(map[int]*extListener),
-		files:   make(map[string][]byte),
 		extRand: seed ^ uint64(time.Now().UnixNano()),
 		stopCh:  make(chan struct{}),
-		synQ:    make(map[int][]*synConn),
 	}
-	w.cond = sync.NewCond(&w.mu)
-	w.display = newDisplay(w)
-	return w
 }
 
 // nextRandLocked is a SplitMix64 step over the external entropy.
@@ -198,7 +192,15 @@ func (w *World) progReadableLocked(refs []epollRef) {
 	for _, r := range refs {
 		r.ep.enqueueLocked(r.fd)
 	}
-	w.cond.Broadcast()
+	w.broadcastLocked()
+}
+
+// broadcastLocked wakes the waiters parked on the global cond, if any
+// waiter ever made it.
+func (w *World) broadcastLocked() {
+	if w.cond != nil {
+		w.cond.Broadcast()
+	}
 }
 
 // ClockNanos returns the wall-clock reading (nanoseconds since World
@@ -232,6 +234,9 @@ func (w *World) FDType(fd int) FDKind {
 func (w *World) allocLocked(d *fdesc) int {
 	fd := w.nextFD
 	w.nextFD++
+	if w.fds == nil {
+		w.fds = make(map[int]*fdesc)
+	}
 	w.fds[fd] = d
 	return fd
 }
@@ -287,6 +292,9 @@ func (w *World) Listen(fd, backlog int) Errno {
 		return EINVAL
 	}
 	d.kind = FDListener
+	if w.ports == nil {
+		w.ports = make(map[int]*listener)
+	}
 	w.ports[d.lstn.port] = d.lstn
 	// Adopt the SYN queue: every half-open connection dialled before the
 	// listener existed lands in the backlog in one step, the way a kernel
@@ -305,7 +313,7 @@ func (w *World) Listen(fd, backlog int) Errno {
 	// ExternalConnect callers waiting for this port to appear park on the
 	// global cond; listener creation is a once-per-server event.
 	w.bumpLocked()
-	w.cond.Broadcast()
+	w.broadcastLocked()
 	return OK
 }
 
@@ -545,6 +553,9 @@ func (w *World) Select(readFDs []int) ([]int, Errno) {
 func (w *World) AddFile(name string, content []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.files == nil {
+		w.files = make(map[string][]byte)
+	}
 	w.files[name] = append([]byte(nil), content...)
 }
 
@@ -565,6 +576,9 @@ func (w *World) Open(name string) (int, Errno) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if name == DisplayPath {
+		if w.display == nil {
+			w.display = &display{}
+		}
 		return w.allocLocked(&fdesc{kind: FDDevice, dev: w.display}), OK
 	}
 	if _, ok := w.files[name]; !ok {
@@ -577,6 +591,9 @@ func (w *World) Open(name string) (int, Errno) {
 func (w *World) Create(name string) (int, Errno) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.files == nil {
+		w.files = make(map[string][]byte)
+	}
 	w.files[name] = nil
 	return w.allocLocked(&fdesc{kind: FDFile, file: name}), OK
 }

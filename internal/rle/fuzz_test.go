@@ -31,7 +31,7 @@ func FuzzDecodeUint64s(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendUint64s(nil, []uint64{1, 1, 1, 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, n, err := DecodeUint64s(data)
+		vals, n, err := DecodeUint64s(nil, data)
 		if err != nil {
 			return
 		}
@@ -39,7 +39,7 @@ func FuzzDecodeUint64s(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		enc := AppendUint64s(nil, vals)
-		vals2, _, err := DecodeUint64s(enc)
+		vals2, _, err := DecodeUint64s(nil, enc)
 		if err != nil || len(vals) != len(vals2) {
 			t.Fatal("canonical round trip failed")
 		}

@@ -56,11 +56,11 @@ func countRuns(vals []uint64) int {
 // stream gets regardless of size. Together they cap a decoder's output at
 // max(DecodeFloor, maxExpansion*n) items for an n-byte canonical encoding,
 // and the decoders allocate only once a whole stream has been checked
-// against that cap, so a handful of corrupt bytes claiming a multi-GiB run
-// is rejected without allocating. A stream of a few runs totalling over
-// 1Mi items (a thread scheduled alone for that many ticks) exceeds the
-// bound, so a writer that must be read back puts at most DecodeFloor items
-// in one stream.
+// against that cap (CountUint64s, CountBytes), so a handful of corrupt
+// bytes claiming a multi-GiB run is rejected without allocating. A stream
+// of a few runs totalling over 1Mi items (a thread scheduled alone for
+// that many ticks) exceeds the bound, so a writer that must be read back
+// puts at most DecodeFloor items in one stream.
 const (
 	maxExpansion = 1 << 12
 	DecodeFloor  = 1 << 20
@@ -88,15 +88,15 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// DecodeUint64s decodes a stream produced by AppendUint64s, returning the
-// values and the number of bytes consumed. Every run is parsed and the
-// total checked against decodeLimit before the output is allocated, so
-// corrupt run counts cannot force huge allocations and a corrupt stream
-// fails without materialising the runs before its fault.
-func DecodeUint64s(src []byte) ([]uint64, int, error) {
+// CountUint64s checks a stream produced by AppendUint64s without decoding
+// it, returning how many values it holds and the number of bytes it spans.
+// Every run is parsed and the total checked against decodeLimit, so a
+// count it returns is backed by input: corrupt run counts cannot claim a
+// huge total.
+func CountUint64s(src []byte) (int, int, error) {
 	runs, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: run count", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: run count", ErrCorrupt)
 	}
 	// The canonical encoding is never longer than the input, so a total
 	// past the input's limit fails before the stream is read to its end.
@@ -107,19 +107,19 @@ func DecodeUint64s(src []byte) ([]uint64, int, error) {
 	for r := uint64(0); r < runs; r++ {
 		val, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: run %d value", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d value", ErrCorrupt, r)
 		}
 		off += n
 		cnt, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: run %d count", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d count", ErrCorrupt, r)
 		}
 		off += n
 		if cnt == 0 {
-			return nil, 0, fmt.Errorf("%w: run %d has zero length", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d has zero length", ErrCorrupt, r)
 		}
 		if cnt > limit || total+cnt > limit {
-			return nil, 0, fmt.Errorf("%w: run %d claims %d values from %d input bytes", ErrCorrupt, r, cnt, len(src))
+			return 0, 0, fmt.Errorf("%w: run %d claims %d values from %d input bytes", ErrCorrupt, r, cnt, len(src))
 		}
 		total += cnt
 		if rn > 0 && val != rv {
@@ -133,22 +133,34 @@ func DecodeUint64s(src []byte) ([]uint64, int, error) {
 		merged++
 	}
 	if canon += uvarintLen(merged); total > decodeLimit(canon) {
-		return nil, 0, fmt.Errorf("%w: %d values from a %d-byte canonical encoding", ErrCorrupt, total, canon)
+		return 0, 0, fmt.Errorf("%w: %d values from a %d-byte canonical encoding", ErrCorrupt, total, canon)
 	}
-	if total == 0 {
-		return nil, off, nil
+	return int(total), off, nil
+}
+
+// DecodeUint64s decodes a stream produced by AppendUint64s, appends the
+// values to dst and returns the extended slice and the number of bytes
+// consumed. The stream is checked in full by CountUint64s before dst
+// grows, so a corrupt stream fails without materialising the runs before
+// its fault, and dst grows at most once: not at all when the caller sized
+// it. A stream of no values returns dst unchanged, nil or not.
+func DecodeUint64s(dst []uint64, src []byte) ([]uint64, int, error) {
+	total, end, err := CountUint64s(src)
+	if err != nil {
+		return nil, 0, err
 	}
-	out := make([]uint64, 0, total)
-	for p := n; p < off; {
+	dst = slices.Grow(dst, total)
+	_, p := binary.Uvarint(src)
+	for p < end {
 		val, k := binary.Uvarint(src[p:])
 		p += k
 		cnt, k := binary.Uvarint(src[p:])
 		p += k
 		for i := uint64(0); i < cnt; i++ {
-			out = append(out, val)
+			dst = append(dst, val)
 		}
 	}
-	return out, off, nil
+	return dst, end, nil
 }
 
 // AppendBytes appends the run-length encoding of data to dst. Runs of four
@@ -178,27 +190,39 @@ func AppendBytes(dst, data []byte) []byte {
 	return dst
 }
 
-// DecodeBytes decodes a stream produced by AppendBytes, appends the data
-// to dst and returns the extended slice and the number of bytes consumed.
-// The body is checked in full, and the claimed length against
-// decodeLimit, before dst grows.
-func DecodeBytes(dst, src []byte) ([]byte, int, error) {
+// CountBytes checks a stream produced by AppendBytes without decoding it,
+// returning its decoded length and the number of bytes it spans. The
+// claimed length is checked against decodeLimit before the body is read,
+// and again against the body's canonical encoding after.
+func CountBytes(src []byte) (int, int, error) {
 	total, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: length prefix", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: length prefix", ErrCorrupt)
 	}
 	if total > decodeLimit(len(src)) {
-		return nil, 0, fmt.Errorf("%w: claimed length %d from %d input bytes", ErrCorrupt, total, len(src))
+		return 0, 0, fmt.Errorf("%w: claimed length %d from %d input bytes", ErrCorrupt, total, len(src))
 	}
 	end, canon, err := scanBytes(src, n, total)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	if total > decodeLimit(canon) {
-		return nil, 0, fmt.Errorf("%w: length %d from a %d-byte canonical encoding", ErrCorrupt, total, canon)
+		return 0, 0, fmt.Errorf("%w: length %d from a %d-byte canonical encoding", ErrCorrupt, total, canon)
 	}
-	dst = slices.Grow(dst, int(total))
-	for off := n; off < end; {
+	return int(total), end, nil
+}
+
+// DecodeBytes decodes a stream produced by AppendBytes, appends the data
+// to dst and returns the extended slice and the number of bytes consumed.
+// The stream is checked in full by CountBytes before dst grows.
+func DecodeBytes(dst, src []byte) ([]byte, int, error) {
+	total, end, err := CountBytes(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	dst = slices.Grow(dst, total)
+	_, off := binary.Uvarint(src)
+	for off < end {
 		b := src[off]
 		off++
 		if b != 0xFF {

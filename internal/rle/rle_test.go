@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +21,7 @@ func TestUint64RoundTrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		enc := AppendUint64s(nil, vals)
-		dec, n, err := DecodeUint64s(enc)
+		dec, n, err := DecodeUint64s(nil, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", vals, err)
 		}
@@ -41,7 +42,7 @@ func TestUint64RoundTrip(t *testing.T) {
 func TestUint64RoundTripProperty(t *testing.T) {
 	prop := func(vals []uint64) bool {
 		enc := AppendUint64s(nil, vals)
-		dec, n, err := DecodeUint64s(enc)
+		dec, n, err := DecodeUint64s(nil, enc)
 		if err != nil || n != len(enc) || len(dec) != len(vals) {
 			return false
 		}
@@ -144,7 +145,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		{1, 5},
 		{1, 5, 0}, // zero-length run
 	} {
-		if _, _, err := DecodeUint64s(bad); err == nil {
+		if _, _, err := DecodeUint64s(nil, bad); err == nil {
 			t.Errorf("DecodeUint64s(%v) accepted corrupt input", bad)
 		}
 	}
@@ -167,7 +168,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	run := binary.AppendUvarint(nil, 1) // one run
 	run = binary.AppendUvarint(run, 7)  // value
 	run = binary.AppendUvarint(run, 1<<32)
-	if _, _, err := DecodeUint64s(run); err == nil {
+	if _, _, err := DecodeUint64s(nil, run); err == nil {
 		t.Fatal("DecodeUint64s accepted a 2^32-value run from a few bytes")
 	}
 	// Many runs summing past the limit must be rejected too, even if each
@@ -177,7 +178,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 		multi = binary.AppendUvarint(multi, uint64(i))
 		multi = binary.AppendUvarint(multi, DecodeFloor/2)
 	}
-	if _, _, err := DecodeUint64s(multi); err == nil {
+	if _, _, err := DecodeUint64s(nil, multi); err == nil {
 		t.Fatal("DecodeUint64s accepted cumulative runs past the input-proportional limit")
 	}
 }
@@ -191,7 +192,7 @@ func TestDecodeLargeLegitimateRuns(t *testing.T) {
 		vals[i] = 1
 	}
 	enc := AppendUint64s(nil, vals)
-	dec, n, err := DecodeUint64s(enc)
+	dec, n, err := DecodeUint64s(nil, enc)
 	if err != nil {
 		t.Fatalf("decode of legitimate %d-value run: %v", len(vals), err)
 	}
@@ -234,7 +235,7 @@ func TestDecodeLimitFollowsCanonicalEncoding(t *testing.T) {
 		"split runs":     split,
 	}
 	for name, src := range uints {
-		if _, _, err := DecodeUint64s(src); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeUint64s(nil, src); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("DecodeUint64s, %s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -254,11 +255,46 @@ func TestDecodeLimitFollowsCanonicalEncoding(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ok = binary.AppendUvarint(binary.AppendUvarint(ok, 7), 5000)
 	}
-	vals, _, err := DecodeUint64s(ok)
+	vals, _, err := DecodeUint64s(nil, ok)
 	if err != nil {
 		t.Fatalf("split runs within the floor: %v", err)
 	}
-	if _, _, err := DecodeUint64s(AppendUint64s(nil, vals)); err != nil {
+	if _, _, err := DecodeUint64s(nil, AppendUint64s(nil, vals)); err != nil {
 		t.Fatalf("canonical re-encoding: %v", err)
+	}
+}
+
+// TestDecodeIntoSizedArray: the Count functions report what the matching
+// decoder yields and consumes, and a decode into an array sized from them
+// appends after its contents without allocating.
+func TestDecodeIntoSizedArray(t *testing.T) {
+	vals := []uint64{5, 5, 5, 9, 1, 1}
+	enc := append(AppendUint64s(nil, vals), 0xAA)
+	total, n, err := CountUint64s(enc)
+	if err != nil || total != len(vals) || n != len(enc)-1 {
+		t.Fatalf("CountUint64s = %d, %d, %v; want %d, %d", total, n, err, len(vals), len(enc)-1)
+	}
+	dst := append(make([]uint64, 0, 2+total), 7, 8)
+	var got []uint64
+	if allocs := testing.AllocsPerRun(10, func() { got, _, _ = DecodeUint64s(dst, enc) }); allocs != 0 {
+		t.Errorf("DecodeUint64s into a sized array allocates %.1f times", allocs)
+	}
+	if want := append([]uint64{7, 8}, vals...); !slices.Equal(got, want) {
+		t.Errorf("DecodeUint64s = %v, want %v", got, want)
+	}
+
+	data := []byte("xxxxxxxx\xffab")
+	encB := append(AppendBytes(nil, data), 0xAA)
+	total, n, err = CountBytes(encB)
+	if err != nil || total != len(data) || n != len(encB)-1 {
+		t.Fatalf("CountBytes = %d, %d, %v; want %d, %d", total, n, err, len(data), len(encB)-1)
+	}
+	dstB := append(make([]byte, 0, 1+total), '>')
+	var gotB []byte
+	if allocs := testing.AllocsPerRun(10, func() { gotB, _, _ = DecodeBytes(dstB, encB) }); allocs != 0 {
+		t.Errorf("DecodeBytes into a sized array allocates %.1f times", allocs)
+	}
+	if want := ">" + string(data); string(gotB) != want {
+		t.Errorf("DecodeBytes = %q, want %q", gotB, want)
 	}
 }

@@ -180,7 +180,8 @@ type Scheduler struct {
 	tick    uint64
 
 	// runq is the queue strategy's runnable queue: enabled queued threads
-	// in arrival order, consumed from runqHead. Disabled queued threads are
+	// in arrival order, consumed from runqHead and compacted to the front
+	// once the head passes half its length. Disabled queued threads are
 	// tracked on the thread itself (queued/queueSeq) and re-inserted by
 	// onEnabled, so scheduling decisions never scan past them. queueSeq is
 	// the arrival-order stamp issued to each enqueue.

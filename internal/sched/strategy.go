@@ -98,8 +98,10 @@ func (*queueStrategy) next(s *Scheduler) TID {
 	for s.runqHead < len(s.runq) {
 		tid := s.runq[s.runqHead]
 		s.runqHead++
-		if s.runqHead == len(s.runq) {
-			s.runq = s.runq[:0]
+		if s.runqHead*2 >= len(s.runq) {
+			// Under steady contention the queue seldom drains; compacting
+			// lets arrivals reuse its array instead of growing it.
+			s.runq = s.runq[:copy(s.runq, s.runq[s.runqHead:])]
 			s.runqHead = 0
 		}
 		th := s.threads[tid]

@@ -16,7 +16,8 @@ type AtomicState struct {
 	// lastSeen[tid] is the highest modification-order index thread tid
 	// has observed (read or written), for read-read coherence. Dense,
 	// indexed by TID (TIDs are small scheduler-assigned integers), grown
-	// on demand; -1 means the thread has not observed this location.
+	// on demand to the detector's thread count; -1 means the thread has
+	// not observed this location.
 	lastSeen []int
 	// lastSC is the modification-order index of the most recent seq_cst
 	// store (-1 if none): a seq_cst load may not read anything older.
@@ -57,10 +58,16 @@ func (a *AtomicState) seenIndex(tid TID) int {
 	return a.lastSeen[tid]
 }
 
-// setSeen records that tid observed modification-order index idx.
-func (a *AtomicState) setSeen(tid TID, idx int) {
-	for int(tid) >= len(a.lastSeen) {
-		a.lastSeen = append(a.lastSeen, -1)
+// setSeen records that tid observed modification-order index idx. A
+// growth sizes lastSeen to every thread the detector has registered, so a
+// location its threads all touch allocates it once.
+func (a *AtomicState) setSeen(d *Detector, tid TID, idx int) {
+	if int(tid) >= len(a.lastSeen) {
+		grown := make([]int, len(d.clocks))
+		for i := copy(grown, a.lastSeen); i < len(grown); i++ {
+			grown[i] = -1
+		}
+		a.lastSeen = grown
 	}
 	a.lastSeen[tid] = idx
 }
@@ -119,7 +126,7 @@ func (d *Detector) Load(a *AtomicState, tid TID, order MemoryOrder) uint64 {
 		idx = min + d.rng.Intn(top-min+1)
 	}
 	rec := &a.history[idx-a.base]
-	a.setSeen(tid, idx)
+	a.setSeen(d, tid, idx)
 	if !rec.release.IsZero() {
 		if order.acquires() {
 			d.clocks[tid].JoinSnapshot(rec.release)
@@ -171,7 +178,7 @@ func (d *Detector) appendStore(a *AtomicState, tid TID, value uint64, order Memo
 		a.history = append(a.history[:0], a.history[drop:]...)
 		a.base += drop
 	}
-	a.setSeen(tid, a.topIndex())
+	a.setSeen(d, tid, a.topIndex())
 	if order == SeqCst {
 		a.lastSC = a.topIndex()
 		d.scClock.Join(d.clocks[tid])
@@ -214,7 +221,7 @@ func (d *Detector) CompareExchange(a *AtomicState, tid TID, expected, desired ui
 				d.pendingAcquire[tid].JoinSnapshot(rel)
 			}
 		}
-		a.setSeen(tid, a.topIndex())
+		a.setSeen(d, tid, a.topIndex())
 		return old, false
 	}
 	d.RMW(a, tid, order, func(uint64) uint64 { return desired })

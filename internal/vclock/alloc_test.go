@@ -86,6 +86,56 @@ func TestCopyBytesSparseHighTID(t *testing.T) {
 	}
 }
 
+// TestCoveredJoinChangesNothing: a join whose argument the clock already
+// covers, as when a thread re-acquires the mutex it released last, neither
+// copies the clock's storage nor moves its generation, so the snapshot
+// sharing that storage stays shared. A join that raises an entry still
+// copies the storage before it writes, and the snapshot keeps its value.
+func TestCoveredJoinChangesNothing(t *testing.T) {
+	c := fromSlice([]Epoch{4, 7, 2})
+	shared := c.Snapshot(1)
+	covered := fromSlice([]Epoch{3, 7, 0, 0})
+	coveredSnap := fromSlice([]Epoch{4, 1, 2}).Snapshot(0)
+	gen := c.Gen()
+	if n := testing.AllocsPerRun(100, func() {
+		c.Join(covered)
+		c.JoinSnapshot(coveredSnap)
+		c.JoinSnapshot(shared)
+	}); n != 0 {
+		t.Fatalf("covered joins allocate %.1f times, want 0", n)
+	}
+	if c.Gen() != gen {
+		t.Fatalf("covered joins moved Gen from %d to %d", gen, c.Gen())
+	}
+	if !c.shared || &c.epochs[0] != &shared.epochs[0] {
+		t.Fatal("covered joins copied the shared storage")
+	}
+	if c.Len() != 3 {
+		t.Fatalf("covered joins grew the clock to %d slots", c.Len())
+	}
+
+	for _, raise := range []func(){
+		func() { c.Join(fromSlice([]Epoch{0, 0, 3})) },
+		func() { c.JoinSnapshot(fromSlice([]Epoch{5}).Snapshot(0)) },
+	} {
+		before := c.Snapshot(1)
+		gen := c.Gen()
+		raise()
+		if c.Gen() == gen {
+			t.Fatal("a raising join kept Gen")
+		}
+		if &c.epochs[0] == &before.epochs[0] {
+			t.Fatal("a raising join wrote into the shared storage")
+		}
+	}
+	if got := c.String(); got != "[5 7 3]" {
+		t.Fatalf("clock = %s after the raising joins, want [5 7 3]", got)
+	}
+	if got := shared.String(); got != "[4 7 2]" {
+		t.Fatalf("snapshot = %s after the raising joins, want [4 7 2]", got)
+	}
+}
+
 // BenchmarkCopySparseHighTID reports B/op for the sparse high-TID copy so
 // the trajectory JSON can track it; run with -benchmem.
 func BenchmarkCopySparseHighTID(b *testing.B) {

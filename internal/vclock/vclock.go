@@ -58,8 +58,11 @@ func (c *Clock) Get(tid TID) Epoch {
 }
 
 // Gen returns the clock's mutation generation. It changes on every Set,
-// Tick, Join, Assign or Reset, so equal generations mean an unchanged
-// clock; release paths key their shared snapshots on it.
+// Tick, Assign or Reset, and on every Join or JoinSnapshot that raises an
+// entry, so equal generations mean an unchanged clock; release paths key
+// their shared snapshots on it. A join the clock already covers changes
+// nothing, so it keeps the generation and the snapshots sharing its
+// storage.
 func (c *Clock) Gen() uint64 { return c.gen }
 
 // unshare severs outstanding snapshots from the clock's storage by copying
@@ -131,18 +134,26 @@ func trimmed(es []Epoch) []Epoch {
 
 // Join merges other into c, taking the pointwise maximum. Join implements
 // the acquire side of synchronisation. Trailing zeros in other never force
-// c to grow.
+// c to grow, and a clock that already covers other is left untouched: it
+// is neither copied nor bumped to a new generation.
 func (c *Clock) Join(other *Clock) {
 	if other == nil {
 		return
 	}
 	src := trimmed(other.epochs)
+	i := 0
+	for i < len(src) && src[i] <= c.Get(TID(i)) {
+		i++
+	}
+	if i == len(src) {
+		return
+	}
 	if c.shared {
 		c.unshare()
 	}
 	c.grow(len(src))
-	for i, e := range src {
-		if e > c.epochs[i] {
+	for ; i < len(src); i++ {
+		if e := src[i]; e > c.epochs[i] {
 			c.epochs[i] = e
 		}
 	}
@@ -303,29 +314,29 @@ func (s Snapshot) trimmedLen() int {
 
 // JoinSnapshot merges a snapshot into c, taking the pointwise maximum: the
 // acquire side of snapshot-published synchronisation. Trailing zeros in the
-// snapshot never force c to grow.
+// snapshot never force c to grow, and a clock that already covers the
+// snapshot (a thread re-acquiring a mutex it released last) is left
+// untouched: it is neither copied nor bumped to a new generation.
 func (c *Clock) JoinSnapshot(s Snapshot) {
 	if s.IsZero() {
+		return
+	}
+	n := s.trimmedLen()
+	i := 0
+	for i < n && s.Get(TID(i)) <= c.Get(TID(i)) {
+		i++
+	}
+	if i == n {
 		return
 	}
 	if c.shared {
 		c.unshare()
 	}
-	n := s.trimmedLen()
 	c.grow(n)
-	for i, e := range s.epochs {
-		if i >= n {
-			break
-		}
-		if i == int(s.tid) {
-			continue
-		}
-		if e > c.epochs[i] {
+	for ; i < n; i++ {
+		if e := s.Get(TID(i)); e > c.epochs[i] {
 			c.epochs[i] = e
 		}
-	}
-	if s.tid >= 0 && int(s.tid) < n && s.epoch > c.epochs[s.tid] {
-		c.epochs[s.tid] = s.epoch
 	}
 	c.gen++
 }
