@@ -23,6 +23,7 @@ import (
 	"repro/internal/apps/ptrapp"
 	"repro/internal/core"
 	"repro/internal/demo"
+	"repro/internal/env"
 	"repro/internal/obs"
 )
 
@@ -409,10 +410,27 @@ func BenchmarkDecodeStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := demo.DecodeStream(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVirtualWake measures one virtual-time wake: a SleepVirtual on a
+// quiet world at the default 100µs check interval, which returns once the
+// advancer has seen the world untouched for that interval. Its ns/op is
+// the interval plus what the advancer's naps overshoot it by; netload's
+// arrivals each pay it.
+func BenchmarkVirtualWake(b *testing.B) {
+	w := env.NewWorld(1)
+	defer w.Shutdown()
+	w.EnableVirtualTime(0)
+	for i := 0; i < b.N; i++ {
+		if err := w.SleepVirtual(time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

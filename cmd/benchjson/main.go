@@ -17,6 +17,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Result is one benchmark line. BytesPerOp/AllocsPerOp are present only
@@ -38,39 +39,23 @@ type Point struct {
 	Results []Result `json:"results"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op` +
-	`(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+// benchLine matches a result line up to its first column, which go test
+// always prints as ns/op. The columns after it are value-unit pairs:
+// MB/s from b.SetBytes, one per b.ReportMetric, and B/op and allocs/op
+// from -benchmem.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(\S+) ns/op(.*)$`)
 
 func run(in io.Reader, out io.Writer, date, commit string) error {
 	p := Point{Date: date, Commit: commit}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		r, ok, err := parseLine(sc.Text())
 		if err != nil {
-			return fmt.Errorf("benchjson: bad iteration count in %q: %v", sc.Text(), err)
+			return err
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return fmt.Errorf("benchjson: bad ns/op in %q: %v", sc.Text(), err)
+		if ok {
+			p.Results = append(p.Results, r)
 		}
-		r := Result{Name: m[1], Iters: iters, NsPerOp: ns}
-		if m[4] != "" {
-			bytesOp, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return fmt.Errorf("benchjson: bad B/op in %q: %v", sc.Text(), err)
-			}
-			allocsOp, err := strconv.ParseFloat(m[5], 64)
-			if err != nil {
-				return fmt.Errorf("benchjson: bad allocs/op in %q: %v", sc.Text(), err)
-			}
-			r.BytesPerOp = &bytesOp
-			r.AllocsPerOp = &allocsOp
-		}
-		p.Results = append(p.Results, r)
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -81,6 +66,39 @@ func run(in io.Reader, out io.Writer, date, commit string) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p)
+}
+
+// parseLine reads one benchmark result line; ok is false for any other
+// line.
+func parseLine(line string) (r Result, ok bool, err error) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return Result{}, false, nil
+	}
+	r.Name = m[1]
+	if r.Iters, err = strconv.ParseInt(m[2], 10, 64); err != nil {
+		return Result{}, false, fmt.Errorf("benchjson: bad iteration count in %q: %v", line, err)
+	}
+	if r.NsPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
+		return Result{}, false, fmt.Errorf("benchjson: bad ns/op in %q: %v", line, err)
+	}
+	cols := strings.Fields(m[4])
+	if len(cols)%2 != 0 {
+		return Result{}, false, fmt.Errorf("benchjson: unpaired column in %q", line)
+	}
+	for i := 0; i < len(cols); i += 2 {
+		v, err := strconv.ParseFloat(cols[i], 64)
+		if err != nil {
+			return Result{}, false, fmt.Errorf("benchjson: bad %s in %q: %v", cols[i+1], line, err)
+		}
+		switch cols[i+1] {
+		case "B/op":
+			r.BytesPerOp = &v
+		case "allocs/op":
+			r.AllocsPerOp = &v
+		}
+	}
+	return r, true, nil
 }
 
 func main() {

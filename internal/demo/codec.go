@@ -72,16 +72,29 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // cannot outrun their input. A v1 section holds a whole stream, so its
 // decoder grows the array by the section's count, capped by room. A v2
 // stream spreads each record type over many chunks, so buildV2 first runs
-// the decoders over every chunk with counting set, which parses every
-// record and only adds it to n, and then sizes each array at the total;
-// the filling pass finds room for every record already made.
+// the decoders over every chunk in a counting pass, which parses and
+// checks every record and only adds it to n, and then sizes each array at
+// the total; the filling pass finds room for every record already made.
 type payCursor struct {
-	pay      []byte
-	off      int
-	err      error
-	counting bool
-	n        recordCounts
+	pay  []byte
+	off  int
+	err  error
+	pass decodePass
+	n    recordCounts
 }
+
+// decodePass is what a payCursor's record decoders do with a record.
+type decodePass uint8
+
+const (
+	// checkAndFill checks each record and appends it, as v1 Decode does.
+	checkAndFill decodePass = iota
+	// counting checks each record and only counts it into n.
+	counting
+	// filling appends records a counting pass over the same bytes
+	// already checked, so RLE bodies are expanded without a second check.
+	filling
+)
 
 // recordCounts is what a counting pass found: the records of each type and
 // the syscall buffers with their decoded bytes.
@@ -91,15 +104,14 @@ type recordCounts struct {
 
 // bufArena holds the arrays decoded syscall buffers are cut from: the
 // backing array of every record's Bufs, and the unused tail of a byte
-// array that holds the buffers' bytes.
+// array that holds the buffers' bytes. A v2 filling pass gets an arena
+// made at the counting pass's totals, whose tail every buffer fits. v1's
+// decoder starts from an empty arena and refills an empty tail with an
+// array the size of the rest of the payload, which holds the buffers'
+// encodings; a buffer that does not fit gets an array of its own.
 type bufArena struct {
 	bufs [][]byte
 	tail []byte
-	// sized marks an arena made at a counting pass's totals, whose tail
-	// every buffer fits; otherwise an empty tail is refilled with an array
-	// the size of the rest of the payload, which holds the buffers'
-	// encodings, and a buffer that does not fit gets an array of its own.
-	sized bool
 }
 
 // alloc makes the arrays a v2 demo's records fill, each at its counted
@@ -123,7 +135,7 @@ func (n *recordCounts) alloc(d *Demo) (ticks []uint64, a bufArena) {
 		d.Syscalls = make([]SyscallRecord, 0, n.sys)
 	}
 	if n.bufs > 0 {
-		a = bufArena{bufs: make([][]byte, 0, n.bufs), tail: make([]byte, 0, n.bufBytes), sized: true}
+		a = bufArena{bufs: make([][]byte, 0, n.bufs), tail: make([]byte, 0, n.bufBytes)}
 	}
 	return ticks, a
 }
@@ -187,10 +199,13 @@ func (c *payCursor) rleUint64s(dst []uint64, what string) []uint64 {
 	}
 	var total, k int
 	var err error
-	if c.counting {
+	switch c.pass {
+	case counting:
 		total, k, err = rle.CountUint64s(c.pay[c.off:])
 		c.n.ticks += total
-	} else {
+	case filling:
+		dst, k = rle.ExpandUint64s(dst, c.pay[c.off:])
+	default:
 		dst, k, err = rle.DecodeUint64s(dst, c.pay[c.off:])
 	}
 	if err != nil {
@@ -214,7 +229,7 @@ func (c *payCursor) exhausted(what string) {
 func (c *payCursor) firstTicks(m map[int32]uint64) map[int32]uint64 {
 	n := c.uvarint("first-tick count")
 	switch {
-	case c.counting:
+	case c.pass == counting:
 		c.n.firsts += int(n)
 	case m == nil && n > 0:
 		m = make(map[int32]uint64, c.room(n, 2))
@@ -222,7 +237,7 @@ func (c *payCursor) firstTicks(m map[int32]uint64) map[int32]uint64 {
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		tid := c.uvarint("first-tick tid")
 		first := c.uvarint("first tick")
-		if c.err == nil && !c.counting {
+		if c.err == nil && c.pass != counting {
 			m[int32(uint32(tid))] = first
 		}
 	}
@@ -231,7 +246,7 @@ func (c *payCursor) firstTicks(m map[int32]uint64) map[int32]uint64 {
 
 func (c *payCursor) signals(dst []SignalEvent) []SignalEvent {
 	n := c.uvarint("signal count")
-	if c.counting {
+	if c.pass == counting {
 		c.n.sigs += int(n)
 	} else {
 		dst = slices.Grow(dst, c.room(n, 3))
@@ -240,7 +255,7 @@ func (c *payCursor) signals(dst []SignalEvent) []SignalEvent {
 		tid := c.uvarint("signal tid")
 		tick := c.uvarint("signal tick")
 		sig := c.uvarint("signal value")
-		if c.err == nil && !c.counting {
+		if c.err == nil && c.pass != counting {
 			dst = append(dst, SignalEvent{TID: int32(uint32(tid)), Tick: tick, Sig: int32(uint32(sig))})
 		}
 	}
@@ -249,7 +264,7 @@ func (c *payCursor) signals(dst []SignalEvent) []SignalEvent {
 
 func (c *payCursor) asyncs(dst []AsyncEvent) []AsyncEvent {
 	n := c.uvarint("async count")
-	if c.counting {
+	if c.pass == counting {
 		c.n.asyncs += int(n)
 	} else {
 		dst = slices.Grow(dst, c.room(n, 3))
@@ -258,7 +273,7 @@ func (c *payCursor) asyncs(dst []AsyncEvent) []AsyncEvent {
 		kind := AsyncKind(c.byteVal("async kind"))
 		tick := c.uvarint("async tick")
 		tid := c.uvarint("async tid")
-		if c.err == nil && !c.counting {
+		if c.err == nil && c.pass != counting {
 			dst = append(dst, AsyncEvent{Kind: kind, Tick: tick, TID: int32(uint32(tid))})
 		}
 	}
@@ -270,7 +285,7 @@ func (c *payCursor) asyncs(dst []AsyncEvent) []AsyncEvent {
 // allocations, not two per record, and no buffer is ever copied.
 func (c *payCursor) syscalls(dst []SyscallRecord, a *bufArena) []SyscallRecord {
 	n := c.uvarint("syscall count")
-	if c.counting {
+	if c.pass == counting {
 		c.n.sys += int(n)
 	} else {
 		dst = slices.Grow(dst, c.room(n, 5))
@@ -285,30 +300,33 @@ func (c *payCursor) syscalls(dst []SyscallRecord, a *bufArena) []SyscallRecord {
 		nBufs := c.uvarint("syscall buf count")
 		first := len(a.bufs)
 		for b := uint64(0); b < nBufs && c.err == nil; b++ {
-			if c.counting {
-				total, k, err := rle.CountBytes(c.pay[c.off:])
-				if err != nil {
-					c.err = fmt.Errorf("%w: syscall buf: %w", ErrCorrupt, err)
-					break
-				}
-				c.off += k
+			var buf []byte
+			var total, k int
+			var err error
+			switch c.pass {
+			case counting:
+				total, k, err = rle.CountBytes(c.pay[c.off:])
 				c.n.bufs++
 				c.n.bufBytes += total
-				continue
+			case filling:
+				buf, k = rle.ExpandBytes(a.tail, c.pay[c.off:])
+			default:
+				if cap(a.tail) == 0 {
+					a.tail = make([]byte, 0, len(c.pay)-c.off)
+				}
+				buf, k, err = rle.DecodeBytes(a.tail, c.pay[c.off:])
 			}
-			if cap(a.tail) == 0 && !a.sized {
-				a.tail = make([]byte, 0, len(c.pay)-c.off)
-			}
-			buf, k, err := rle.DecodeBytes(a.tail, c.pay[c.off:])
 			if err != nil {
 				c.err = fmt.Errorf("%w: syscall buf: %w", ErrCorrupt, err)
 				break
 			}
 			c.off += k
-			a.bufs = append(a.bufs, buf[:len(buf):len(buf)])
-			a.tail = buf[len(buf):]
+			if c.pass != counting {
+				a.bufs = append(a.bufs, buf[:len(buf):len(buf)])
+				a.tail = buf[len(buf):]
+			}
 		}
-		if c.err == nil && !c.counting {
+		if c.err == nil && c.pass != counting {
 			if len(a.bufs) > first {
 				sc.Bufs = a.bufs[first:len(a.bufs):len(a.bufs)]
 			}

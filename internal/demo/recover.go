@@ -128,6 +128,16 @@ func decodeV2(data []byte, tolerant bool) (*Demo, error) {
 // CRC32. ok is false if the chunk is truncated, has an unknown type, or
 // fails its CRC — all of which recovery treats as the torn tail.
 func parseChunk(data []byte, off int) (typ byte, pay []byte, next int, ok bool) {
+	typ, pay, next, ok = chunkAt(data, off)
+	if ok && crc32.ChecksumIEEE(pay) != binary.LittleEndian.Uint32(data[next-4:]) {
+		return 0, nil, 0, false
+	}
+	return typ, pay, next, ok
+}
+
+// chunkAt is parseChunk without the CRC check, for a chunk a scan has
+// already parsed.
+func chunkAt(data []byte, off int) (typ byte, pay []byte, next int, ok bool) {
 	if off >= len(data) {
 		return 0, nil, 0, false
 	}
@@ -144,11 +154,7 @@ func parseChunk(data []byte, off int) (typ byte, pay []byte, next int, ok bool) 
 	if body > len(data) || end+4 > len(data) {
 		return 0, nil, 0, false
 	}
-	pay = data[body:end]
-	if crc32.ChecksumIEEE(pay) != binary.LittleEndian.Uint32(data[end:]) {
-		return 0, nil, 0, false
-	}
-	return typ, pay, end + 4, true
+	return typ, data[body:end], end + 4, true
 }
 
 // parseFooter decodes a footer payload: flags byte, uvarint tick, 8-byte
@@ -164,10 +170,12 @@ func parseFooter(pay []byte) (v2Footer, bool) {
 	return fo, c.err == nil
 }
 
-// buildV2 reconstructs the demo from every chunk before fo's end. It
-// reads the chunks twice, counting the records and then filling arrays
-// sized once at those counts (see payCursor), so a recording cut into
-// many chunks allocates what the same records in one chunk would.
+// buildV2 reconstructs the demo from every chunk before fo's end, which
+// decodeV2's scan has already parsed and CRC-checked. It reads the chunks
+// twice, counting the records and then filling arrays sized once at those
+// counts (see payCursor), so a recording cut into many chunks allocates
+// what the same records in one chunk would. Only the counting pass checks
+// the records; the filling pass expands what it accepted.
 func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, truncated bool) (*Demo, error) {
 	d := &Demo{
 		Strategy:   strategy,
@@ -180,13 +188,13 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 	var n recordCounts
 	var ticks []uint64
 	var arena bufArena
-	for _, counting := range [2]bool{true, false} {
-		if !counting {
+	for _, pass := range [2]decodePass{counting, filling} {
+		if pass == filling {
 			ticks, arena = n.alloc(d)
 		}
-		c := payCursor{counting: counting}
+		c := payCursor{pass: pass}
 		for off := v2HeaderLen; off < fo.end; {
-			typ, pay, next, ok := parseChunk(data, off)
+			typ, pay, next, ok := chunkAt(data, off)
 			if !ok {
 				// Cannot happen: the scan pass validated every chunk up to fo.
 				return nil, fmt.Errorf("%w: unparseable chunk at offset %d", ErrCorrupt, off)
@@ -195,12 +203,11 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 			c.pay, c.off = pay, 0
 			switch typ {
 			case chunkQueue:
-				start, at := c.uvarint("queue chunk start slot"), len(ticks)
-				if counting {
-					at = c.n.ticks
-				}
-				if c.err == nil && start != uint64(at) {
-					return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, at)
+				// The counting pass checks the chunk's slots against the
+				// ticks counted so far, which the filling pass appends.
+				start := c.uvarint("queue chunk start slot")
+				if c.err == nil && pass == counting && start != uint64(c.n.ticks) {
+					return nil, fmt.Errorf("%w: queue chunk starts at slot %d, want %d", ErrCorrupt, start, c.n.ticks)
 				}
 				ticks = c.rleUint64s(ticks, "queue chunk deltas")
 				d.Queue.FirstTick = c.firstTicks(d.Queue.FirstTick)
@@ -211,10 +218,11 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 				for i := uint64(0); i < nPatches && c.err == nil; i++ {
 					slot := c.uvarint("queue chunk patch slot")
 					delta := c.uvarint("queue chunk patch delta")
-					if c.err == nil && !counting {
-						if slot >= uint64(len(ticks)) {
-							return nil, fmt.Errorf("%w: queue chunk patches slot %d, which no chunk before it holds", ErrCorrupt, slot)
-						}
+					switch {
+					case c.err != nil:
+					case pass == counting && slot >= uint64(c.n.ticks):
+						return nil, fmt.Errorf("%w: queue chunk patches slot %d, which no chunk before it holds", ErrCorrupt, slot)
+					case pass == filling:
 						ticks[slot] = delta
 					}
 				}

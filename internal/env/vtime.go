@@ -1,9 +1,6 @@
 package env
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Virtual time. A load scenario that models hours of production traffic
 // cannot wait hours of wall clock: with virtual time enabled, ClockNanos
@@ -30,32 +27,63 @@ type vtimer struct {
 	ch  chan struct{}
 }
 
-// vtimerHeap is a min-heap of pending timers ordered by deadline.
+// vtimerHeap is a min-heap of pending timers ordered by (deadline, seq).
+// It is typed rather than a container/heap.Interface, which would box
+// every timer into an interface on Push and again on Pop.
 type vtimerHeap []vtimer
 
-func (h vtimerHeap) Len() int { return len(h) }
-func (h vtimerHeap) Less(i, j int) bool {
+func (h vtimerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h vtimerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vtimerHeap) Push(x interface{}) { *h = append(*h, x.(vtimer)) }
-func (h *vtimerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *vtimerHeap) push(t vtimer) {
+	s := append(*h, t)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+// pop removes and returns the earliest timer; the heap must not be empty.
+func (h *vtimerHeap) pop() vtimer {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s[n] = s[n], vtimer{}
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // EnableVirtualTime switches the world's clock to virtual time and starts
 // the background advancer, which jumps the clock once the world has been
 // untouched for checkEvery of wall-clock time (0 = 100µs default) while a
 // timer is pending. With no timer pending the advancer parks until
-// SleepVirtual pushes one, so an idle world costs no wakeups. Idempotent;
-// the advancer exits at Interrupt or Shutdown.
+// SleepVirtual pushes one, so an idle world costs no wakeups. On Linux the
+// advancer keeps one OS thread to itself while it runs (see
+// advanceVirtual). Idempotent; the advancer exits at Interrupt or
+// Shutdown.
 func (w *World) EnableVirtualTime(checkEvery time.Duration) {
 	w.mu.Lock()
 	if w.vtOn {
@@ -105,7 +133,7 @@ func (w *World) SleepVirtual(d time.Duration) error {
 	}
 	ch := make(chan struct{})
 	w.vtSeq++
-	heap.Push(&w.vtimers, vtimer{at: w.vnow + int64(d), seq: w.vtSeq, ch: ch})
+	w.vtimers.push(vtimer{at: w.vnow + int64(d), seq: w.vtSeq, ch: ch})
 	stop := w.stopCh
 	w.mu.Unlock()
 	select {
@@ -138,7 +166,7 @@ func (w *World) AdvanceVirtual(d time.Duration) {
 func (w *World) fireDueLocked(upto int64) {
 	fired := false
 	for len(w.vtimers) > 0 && w.vtimers[0].at <= upto {
-		tm := heap.Pop(&w.vtimers).(vtimer)
+		tm := w.vtimers.pop()
 		if tm.at > w.vnow {
 			w.vnow = tm.at
 		}
@@ -165,14 +193,20 @@ const (
 // on Linux, whose netpoller would stretch a runtime timer under 1ms to a
 // whole millisecond) and, once time.Now() shows it unchanged for a whole
 // interval of wall-clock time, jumps the clock to the earliest deadline
-// and fires the batch within vtBatchNanos of it. The quiet interval starts
-// when the advancer first sees the current generation, never earlier, so
-// the world has been untouched for at least one interval at every jump.
-// Program threads running pure compute don't hold the clock back (they
-// don't mutate the world), which is the same arrival-vs-compute
+// and fires the batch within vtBatchNanos of it. On Linux it runs pinned
+// to one thread whose timer slack vtPin cuts to 1µs, so a 25µs wait takes
+// ~30µs rather than the ~80µs the default 50µs slack makes of it, and it
+// hands the thread back as it found it when it exits. The quiet interval
+// starts when the advancer first sees the current generation, never
+// earlier, so the world has been untouched for at least one interval at
+// every jump. Program threads running pure compute don't hold the clock
+// back (they don't mutate the world), which is the same arrival-vs-compute
 // nondeterminism a real environment has — and the recording captures
 // whichever interleaving happened.
 func (w *World) advanceVirtual(every time.Duration) {
+	if vtPin() {
+		defer vtUnpin()
+	}
 	nap := min(every/vtPollsPerInterval, vtMaxNap)
 	var lastGen uint64
 	var quietSince time.Time // zero: the quiet interval starts at the next sample

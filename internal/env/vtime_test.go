@@ -2,6 +2,7 @@ package env
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -110,6 +111,41 @@ func TestVirtualTimeOffIsRealSleep(t *testing.T) {
 	}
 	if w.VirtualNow() != 0 {
 		t.Fatal("virtual clock moved while off")
+	}
+}
+
+// The timer heap pops in (deadline, seq) order, FIFO among equal
+// deadlines, however pushes and pops interleave.
+func TestVirtualTimerHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h vtimerHeap
+	var ref []vtimer // every pending timer, unordered
+	popBoth := func() {
+		best := 0
+		for i, tm := range ref {
+			if tm.at < ref[best].at || tm.at == ref[best].at && tm.seq < ref[best].seq {
+				best = i
+			}
+		}
+		want := ref[best]
+		ref = append(ref[:best], ref[best+1:]...)
+		if got := h.pop(); got.at != want.at || got.seq != want.seq {
+			t.Fatalf("popped (%d, %d), want (%d, %d)", got.at, got.seq, want.at, want.seq)
+		}
+	}
+	for seq := uint64(1); seq <= 2000; seq++ {
+		tm := vtimer{at: rng.Int63n(64), seq: seq}
+		h.push(tm)
+		ref = append(ref, tm)
+		for rng.Intn(3) == 0 && len(ref) > 0 {
+			popBoth()
+		}
+	}
+	for len(ref) > 0 {
+		popBoth()
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d timers left in the heap", len(h))
 	}
 }
 

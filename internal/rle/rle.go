@@ -145,13 +145,22 @@ func CountUint64s(src []byte) (int, int, error) {
 // its fault, and dst grows at most once: not at all when the caller sized
 // it. A stream of no values returns dst unchanged, nil or not.
 func DecodeUint64s(dst []uint64, src []byte) ([]uint64, int, error) {
-	total, end, err := CountUint64s(src)
+	total, _, err := CountUint64s(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	dst = slices.Grow(dst, total)
-	_, p := binary.Uvarint(src)
-	for p < end {
+	dst, end := ExpandUint64s(slices.Grow(dst, total), src)
+	return dst, end, nil
+}
+
+// ExpandUint64s is DecodeUint64s without the check, for a caller that has
+// already run CountUint64s on src: it appends the stream's values to dst,
+// which should have room for them, and returns the extended slice and the
+// bytes consumed. On a stream CountUint64s rejects it may panic or return
+// garbage.
+func ExpandUint64s(dst []uint64, src []byte) ([]uint64, int) {
+	runs, p := binary.Uvarint(src)
+	for r := uint64(0); r < runs; r++ {
 		val, k := binary.Uvarint(src[p:])
 		p += k
 		cnt, k := binary.Uvarint(src[p:])
@@ -160,7 +169,7 @@ func DecodeUint64s(dst []uint64, src []byte) ([]uint64, int, error) {
 			dst = append(dst, val)
 		}
 	}
-	return dst, end, nil
+	return dst, p
 }
 
 // AppendBytes appends the run-length encoding of data to dst. Runs of four
@@ -216,13 +225,22 @@ func CountBytes(src []byte) (int, int, error) {
 // to dst and returns the extended slice and the number of bytes consumed.
 // The stream is checked in full by CountBytes before dst grows.
 func DecodeBytes(dst, src []byte) ([]byte, int, error) {
-	total, end, err := CountBytes(src)
+	total, _, err := CountBytes(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	dst = slices.Grow(dst, total)
-	_, off := binary.Uvarint(src)
-	for off < end {
+	dst, end := ExpandBytes(slices.Grow(dst, total), src)
+	return dst, end, nil
+}
+
+// ExpandBytes is DecodeBytes without the check, for a caller that has
+// already run CountBytes on src: it appends the stream's data to dst,
+// which should have room for it, and returns the extended slice and the
+// bytes consumed. On a stream CountBytes rejects it may panic or return
+// garbage.
+func ExpandBytes(dst, src []byte) ([]byte, int) {
+	total, off := binary.Uvarint(src)
+	for end := len(dst) + int(total); len(dst) < end; {
 		b := src[off]
 		off++
 		if b != 0xFF {
@@ -236,7 +254,7 @@ func DecodeBytes(dst, src []byte) ([]byte, int, error) {
 			dst = append(dst, v)
 		}
 	}
-	return dst, end, nil
+	return dst, off
 }
 
 // scanBytes checks the AppendBytes body at src[off:] that decodes to total

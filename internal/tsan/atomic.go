@@ -9,9 +9,16 @@ import "repro/internal/vclock"
 // tsan11 exposes weak-memory behaviours (such as Figure 1 of the paper) on
 // strongly-ordered host hardware.
 type AtomicState struct {
+	// history holds the retained stores, oldest first from slot head: it
+	// grows to HistoryDepth records, and from then on is a ring in which
+	// each store takes the evicted oldest's slot. A ring keeps a store
+	// from copying the records, whose snapshot pointers make every copy
+	// pay write barriers.
 	history []storeRecord
-	// base is the modification-order index of history[0]; indices grow
-	// monotonically as stores are appended and old entries evicted.
+	head    int
+	// base is the modification-order index of the oldest retained store,
+	// in slot head; indices grow monotonically as stores are appended and
+	// old entries evicted.
 	base int
 	// lastSeen[tid] is the highest modification-order index thread tid
 	// has observed (read or written), for read-read coherence. Dense,
@@ -40,9 +47,9 @@ type storeRecord struct {
 // NewAtomicState returns the state for a fresh atomic location holding an
 // initial value, attributed to the creating thread.
 func NewAtomicState(d *Detector, tid TID, init uint64) *AtomicState {
-	// The history holds at most HistoryDepth+1 records (appendStore
-	// evicts past HistoryDepth), so it is allocated once at that size.
-	a := &AtomicState{history: make([]storeRecord, 1, d.opts.HistoryDepth+1), lastSC: -1}
+	// The history holds at most HistoryDepth records, so it is allocated
+	// once at that size.
+	a := &AtomicState{history: make([]storeRecord, 1, d.opts.HistoryDepth), lastSC: -1}
 	// The initialisation is a plain write that happens-before everything
 	// the creating thread subsequently releases.
 	a.history[0] = storeRecord{value: init, tid: tid, epoch: d.Epoch(tid)}
@@ -72,7 +79,16 @@ func (a *AtomicState) setSeen(d *Detector, tid TID, idx int) {
 	a.lastSeen[tid] = idx
 }
 
-func (a *AtomicState) top() *storeRecord { return &a.history[len(a.history)-1] }
+// at returns the retained store with modification-order index idx.
+func (a *AtomicState) at(idx int) *storeRecord {
+	s := a.head + idx - a.base
+	if s >= len(a.history) {
+		s -= len(a.history)
+	}
+	return &a.history[s]
+}
+
+func (a *AtomicState) top() *storeRecord { return a.at(a.topIndex()) }
 
 func (a *AtomicState) topIndex() int { return a.base + len(a.history) - 1 }
 
@@ -94,11 +110,11 @@ func (a *AtomicState) minVisibleIndex(d *Detector, tid TID) int {
 	}
 	c := d.clock(tid)
 	// The newest store that happens-before the load hides all older ones.
-	for i := len(a.history) - 1; i >= 0; i-- {
-		rec := &a.history[i]
+	for idx := a.topIndex(); idx >= a.base; idx-- {
+		rec := a.at(idx)
 		if vclock.HappensBefore(rec.tid, rec.epoch, c) {
-			if a.base+i > min {
-				min = a.base + i
+			if idx > min {
+				min = idx
 			}
 			break
 		}
@@ -125,7 +141,7 @@ func (d *Detector) Load(a *AtomicState, tid TID, order MemoryOrder) uint64 {
 	if min < top {
 		idx = min + d.rng.Intn(top-min+1)
 	}
-	rec := &a.history[idx-a.base]
+	rec := a.at(idx)
 	a.setSeen(d, tid, idx)
 	if !rec.release.IsZero() {
 		if order.acquires() {
@@ -172,11 +188,15 @@ func (d *Detector) appendStore(a *AtomicState, tid TID, value uint64, order Memo
 			}
 		}
 	}
-	a.history = append(a.history, rec)
-	if len(a.history) > d.opts.HistoryDepth {
-		drop := len(a.history) - d.opts.HistoryDepth
-		a.history = append(a.history[:0], a.history[drop:]...)
-		a.base += drop
+	if len(a.history) < d.opts.HistoryDepth {
+		a.history = append(a.history, rec)
+	} else {
+		// Full: the store evicts the oldest and takes its slot.
+		a.history[a.head] = rec
+		if a.head++; a.head == len(a.history) {
+			a.head = 0
+		}
+		a.base++
 	}
 	a.setSeen(d, tid, a.topIndex())
 	if order == SeqCst {
