@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test tsanvet bench-module smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke examples-smoke fuzz-smoke bench
+.PHONY: check fmt vet build test tsanvet bench-module loc smoke mutation-smoke record-dir-smoke debug-smoke crash-smoke load-smoke experiments-smoke examples-smoke fuzz-smoke bench
 
 check: fmt vet build test tsanvet bench-module
 
@@ -24,10 +24,19 @@ test:
 # tsanvet enforces the instrumentation discipline (see README
 # "Instrumentation discipline"): nonzero exit on any finding. It runs over
 # ./... and therefore covers internal/explore, internal/obs and
-# internal/conc along with everything else — including the interprocedural
-# lockorder pass.
+# internal/conc along with everything else. Its checks guard only what no
+# run can see; deadlocks, exits holding a mutex and re-locks fail the run.
 tsanvet:
 	$(GO) run ./cmd/tsanvet ./...
+
+# loc prints the non-test Go lines outside _tsanbench/, testdata/ and
+# .bench_build/, per package and in total: the size of the program proper.
+loc:
+	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './_tsanbench/*' \
+		-not -path '*/testdata/*' -not -path './.bench_build/*' | sort); \
+	awk '{ d = FILENAME; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d]++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d }' $$files | sort -k2; \
+	cat $$files | wc -l | awk '{ printf "%7d  total\n", $$1 }'
 
 # bench-module vets and tests the benchmark, which is its own Go module
 # (_tsanbench/go.mod), so ./... above skips it. It calls this module's

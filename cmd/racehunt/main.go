@@ -8,7 +8,8 @@
 // The hunting itself is internal/explore's job: trials shard across a
 // worker pool, failures dedupe by signature, and each distinct failure's
 // recording is minimized by re-validated replay. racehunt is the flag
-// surface plus reporting.
+// surface plus reporting. Trials that leave threads running when main
+// returns are counted and reported; a leak is not a failure.
 //
 // Usage:
 //
@@ -153,6 +154,10 @@ func run(args []string, out, errOut io.Writer) int {
 	fmt.Fprintf(out, "ran %d trials in %v (%.0f trials/sec): %d failing, %d distinct, %d deduped\n",
 		res.Trials, res.Elapsed.Round(time.Millisecond), res.TrialsPerSec(),
 		res.Failing, len(res.Failures), res.DedupeHits)
+	if res.Leaking > 0 {
+		fmt.Fprintf(out, "leaked threads: %d of %d trials left threads running when main returned\n",
+			res.Leaking, res.Trials)
+	}
 	if *mutate {
 		fmt.Fprintf(out, "mutation: %d mutated trials, %d diverged from their candidate schedule\n",
 			res.Mutants, res.DivergedTrials)

@@ -150,7 +150,7 @@ func fluidanimate(rt *core.Runtime, nthreads, size int) func(*core.Thread) {
 					}
 					grid[lo].Lock(t)
 					if hi != lo {
-						grid[hi].Lock(t) //tsanrec:allow(lockpair) lock and unlock share the identical hi != lo guard; the CFG cannot correlate the two branches
+						grid[hi].Lock(t)
 					}
 					ma := mass[lo].Read(t)
 					mb := mass[hi].Read(t)

@@ -347,6 +347,14 @@ func (rt *Runtime) Run(fn func(t *Thread)) (*Report, error) {
 	if errors.Is(err, sched.ErrShutdown) || errors.Is(err, sched.ErrReplayEnd) {
 		err = nil // straggler cleanup, or the clean end of a truncated demo
 	}
+	var de *sched.DeadlockError
+	if errors.As(err, &de) {
+		// The scheduler knows mutexes only by id; every thread has
+		// unwound, so the mutex state is final.
+		for _, l := range rt.HeldLocks() {
+			de.Held = append(de.Held, fmt.Sprintf("%s (%#x) by t%d", l.Name, l.ID, l.Owner))
+		}
+	}
 	rt.mu.Lock()
 	if err == nil && rt.appErr != nil {
 		err = rt.appErr

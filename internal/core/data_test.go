@@ -110,6 +110,117 @@ func TestUnlockNotOwnedPanics(t *testing.T) {
 	}
 }
 
+// TestRelockFails: Lock of a mutex the caller already holds fails the run
+// at that operation, naming the mutex, even while another thread keeps the
+// run busy (it would otherwise end only at MaxTicks). TryLock of it just
+// reports false.
+func TestRelockFails(t *testing.T) {
+	const maxTicks = 10_000
+	rt := newTestRuntime(t, Options{Strategy: demo.StrategyRandom, Seed1: 1, Seed2: 2, MaxTicks: maxTicks})
+	tried := true
+	rep, err := rt.Run(func(main *Thread) {
+		quit := main.NewAtomic64("quit", 0)
+		spinner := main.Spawn("spinner", func(w *Thread) {
+			for quit.Load(w, SeqCst) == 0 {
+				w.Yield()
+			}
+		})
+		mu := rt.NewMutex("relock.mu")
+		mu.Lock(main)
+		tried = mu.TryLock(main)
+		mu.Lock(main)
+		quit.Store(main, 1, SeqCst)
+		main.Join(spinner)
+	})
+	if err == nil || !strings.Contains(err.Error(), "lock of mutex already held by this thread: relock.mu") {
+		t.Fatalf("expected relock failure, got %v", err)
+	}
+	if tried {
+		t.Error("TryLock of a mutex the caller holds returned true")
+	}
+	if rep.Ticks >= maxTicks {
+		t.Errorf("relock failed only after %d ticks", rep.Ticks)
+	}
+}
+
+// TestLeakedLockFailsRun runs, each as a worker thread body, the four ways
+// a function can leave a mutex locked or release the wrong one, plus an
+// unlock skipped inside a loop, down their leaking paths. Each run must
+// fail, naming the worker and the mutex: by the exit check, by Unlock's
+// ownership check, or, for the loop, by the relock check on its second
+// pass.
+func TestLeakedLockFailsRun(t *testing.T) {
+	earlyReturn := func(rt *Runtime, th *Thread, cond bool) {
+		mu := rt.NewMutex("early.mu")
+		mu.Lock(th)
+		if cond {
+			return
+		}
+		mu.Unlock(th)
+	}
+	valueReturnLeak := func(rt *Runtime, th *Thread, n int) int {
+		l := rt.NewMutex("value.l")
+		l.Lock(th)
+		if n > 0 {
+			return n
+		}
+		l.Unlock(th)
+		return 0
+	}
+	wrongReceiver := func(th *Thread, a, b *Mutex) {
+		a.Lock(th)
+		b.Unlock(th)
+	}
+	neverReleased := func(rt *Runtime, th *Thread) {
+		mu := rt.NewMutex("never.mu")
+		mu.Lock(th)
+	}
+	skippedInLoop := func(rt *Runtime, th *Thread, n int) {
+		l := rt.NewMutex("loop.l")
+		for i := 0; i < n; i++ {
+			l.Lock(th)
+			if i == 0 {
+				continue
+			}
+			l.Unlock(th)
+		}
+	}
+	cases := []struct {
+		name string
+		body func(rt *Runtime) func(*Thread)
+		want string
+	}{
+		{"earlyReturn", func(rt *Runtime) func(*Thread) {
+			return func(w *Thread) { earlyReturn(rt, w, true) }
+		}, "exit while holding mutex early.mu"},
+		{"valueReturnLeak", func(rt *Runtime) func(*Thread) {
+			return func(w *Thread) { valueReturnLeak(rt, w, 1) }
+		}, "exit while holding mutex value.l"},
+		{"wrongReceiver", func(rt *Runtime) func(*Thread) {
+			a, b := rt.NewMutex("wrong.a"), rt.NewMutex("wrong.b")
+			return func(w *Thread) { wrongReceiver(w, a, b) }
+		}, "unlock of mutex not held by this thread: wrong.b"},
+		{"neverReleased", func(rt *Runtime) func(*Thread) {
+			return func(w *Thread) { neverReleased(rt, w) }
+		}, "exit while holding mutex never.mu"},
+		{"skippedUnlockInLoop", func(rt *Runtime) func(*Thread) {
+			return func(w *Thread) { skippedInLoop(rt, w, 3) }
+		}, "lock of mutex already held by this thread: loop.l"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rt := newTestRuntime(t, Options{Strategy: demo.StrategyRandom, Seed1: 1, Seed2: 2})
+			body := c.body(rt)
+			_, err := rt.Run(func(main *Thread) {
+				main.Join(main.Spawn("worker", body))
+			})
+			if err == nil || !strings.Contains(err.Error(), "thread 1 (worker)") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want thread 1 (worker) and %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestLeakedThreadsReported(t *testing.T) {
 	rt := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Seed1: 1, Seed2: 2})
 	rep, err := rt.Run(func(main *Thread) {

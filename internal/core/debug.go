@@ -458,3 +458,15 @@ func (rt *Runtime) HeldLocks() []LockState {
 	}
 	return out
 }
+
+// heldBy names the mutexes tid holds. Called inside tid's critical
+// section, where no other thread changes mutex state.
+func (rt *Runtime) heldBy(tid TID) string {
+	var names []string
+	for _, l := range rt.HeldLocks() {
+		if l.Owner == tid {
+			names = append(names, fmt.Sprintf("%s (%#x)", l.Name, l.ID))
+		}
+	}
+	return strings.Join(names, ", ")
+}

@@ -11,6 +11,11 @@ import (
 // of the paper's Figure 4: each acquisition attempt is one critical
 // section, and a failed attempt disables the thread in the scheduler until
 // an Unlock re-enables it.
+//
+// Under the controlled scheduler a Mutex is error-checking, like a
+// PTHREAD_MUTEX_ERRORCHECK mutex that aborts: Lock of a mutex the caller
+// holds, Unlock of one it does not hold, and a thread returning while it
+// holds one each fail the run at that operation, naming the mutex.
 type Mutex struct {
 	rt     *Runtime
 	id     uint64
@@ -38,7 +43,8 @@ func (rt *Runtime) NewMutex(name string) *Mutex {
 	return m
 }
 
-// Lock acquires the mutex, blocking t until available.
+// Lock acquires the mutex, blocking t until available. Locking a mutex t
+// already holds fails the run.
 func (m *Mutex) Lock(t *Thread) {
 	rt := m.rt
 	if rt.opts.Uncontrolled {
@@ -51,11 +57,15 @@ func (m *Mutex) Lock(t *Thread) {
 			if !m.locked {
 				m.locked = true
 				m.owner = t.id
+				t.held++
 				acquired = true
 				t.evArg = 1
 				rt.detMu.Lock()
 				rt.det.AcquireSnapshot(t.id, m.clock)
 				rt.detMu.Unlock()
+			} else if m.owner == t.id {
+				// Waiting would disable t for good: only t could unlock.
+				panic("core: lock of mutex already held by this thread: " + m.name)
 			} else {
 				rt.sch.MutexLockFail(t.id, m.id)
 			}
@@ -70,7 +80,7 @@ func (m *Mutex) Lock(t *Thread) {
 }
 
 // TryLock attempts a single acquisition; it reports whether the mutex was
-// acquired.
+// acquired (false also when t already holds it).
 func (m *Mutex) TryLock(t *Thread) bool {
 	rt := m.rt
 	if rt.opts.Uncontrolled {
@@ -81,6 +91,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 		if !m.locked {
 			m.locked = true
 			m.owner = t.id
+			t.held++
 			acquired = true
 			t.evArg = 1
 			rt.detMu.Lock()
@@ -104,6 +115,7 @@ func (m *Mutex) Unlock(t *Thread) {
 		}
 		m.locked = false
 		m.owner = -1
+		t.held--
 		rt.detMu.Lock()
 		m.clock = rt.det.ReleaseSnapshot(t.id)
 		rt.detMu.Unlock()
@@ -174,6 +186,7 @@ func (c *Cond) wait(t *Thread, timed bool) WaitResult {
 		rt.sch.CondWait(t.id, c.id, timed)
 		c.m.locked = false
 		c.m.owner = -1
+		t.held--
 		rt.detMu.Lock()
 		c.m.clock = rt.det.ReleaseSnapshot(t.id)
 		rt.detMu.Unlock()

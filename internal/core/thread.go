@@ -26,8 +26,13 @@ type Thread struct {
 	// stream offset, a spawned child's tid). Only read when observability
 	// is on; owned by the thread's own goroutine, so unsynchronised.
 	evArg    int64
-	evStream obs.Stream
 	evOff    uint64
+	evStream obs.Stream
+
+	// held counts the Mutexes the thread holds, so exit can tell a thread
+	// that returns with one still locked. Owned by the thread's own
+	// goroutine and changed only inside its critical sections.
+	held int32
 
 	// lastTick is the tick of this thread's most recently completed
 	// critical section, mirrored from the scheduler so invisible
@@ -241,12 +246,17 @@ func (t *Thread) Join(h *Handle) {
 	}
 }
 
-// exit deregisters the thread; called by the runtime when fn returns.
+// exit deregisters the thread; called by the runtime when fn returns. A
+// thread that returns holding a Mutex fails the run there: no other
+// thread could ever acquire that mutex again.
 func (t *Thread) exit() {
 	if t.rt.opts.Uncontrolled {
 		return
 	}
 	t.criticalOp(obs.KindExit, 0, t.name, func() {
+		if t.held > 0 {
+			panic("core: exit while holding mutex " + t.rt.heldBy(t.id))
+		}
 		t.rt.sch.ThreadDelete(t.id)
 	})
 }

@@ -127,6 +127,9 @@ type Outcome struct {
 	Ticks     uint64
 	Races     int
 	Signature string
+	// Leaked counts the threads still live when main returned
+	// (core.Report.Leaked). A leak is not a failure.
+	Leaked int
 	// Diverged reports that a mutated trial's candidate schedule became
 	// infeasible mid-replay and the run fell back to the live strategy.
 	// Divergence is not a failure.
@@ -178,9 +181,11 @@ type Result struct {
 	// representative trial index.
 	Failures []*Failure
 	// Trials counts trials actually run; Failing counts the failing ones
-	// before deduplication.
+	// before deduplication, and Leaking the ones that left threads live
+	// when main returned, failing or not.
 	Trials     int
 	Failing    int
+	Leaking    int
 	DedupeHits int
 	// Mutants counts mutated trials run; DivergedTrials counts those whose
 	// candidate schedule proved infeasible somewhere.
@@ -365,6 +370,9 @@ func Run(cfg Config) (*Result, error) {
 		if outcomes[i].Diverged {
 			res.DivergedTrials++
 		}
+		if outcomes[i].Leaked > 0 {
+			res.Leaking++
+		}
 		p := payloads[i]
 		if p == nil {
 			continue
@@ -470,6 +478,7 @@ func runTrial(cfg *Config, spec TrialSpec) (Outcome, *trialFailure, *demo.Demo) 
 		Ran:      true,
 		Ticks:    rep.Ticks,
 		Races:    rep.RaceCount(),
+		Leaked:   rep.Leaked,
 		Diverged: rep.Diverged != nil,
 		Duration: time.Since(t0),
 	}

@@ -76,9 +76,6 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		RawGo{},
 		RawSync{},
-		LockPair{},
-		LockOrder{},
-		JoinLeak{},
 		VarEscape{},
 	}
 }
@@ -179,8 +176,8 @@ var frameworkDirs = []string{
 
 // harnessDirs hold host-side benchmark and tooling binaries. They
 // orchestrate runtimes from the outside (wall-clock timing, flag parsing)
-// and never run under a scheduler thread, so the nondeterminism checks
-// (rawgo, rawsync) do not apply; core-API-misuse checks still do.
+// and never run under a scheduler thread, so no check applies to them;
+// only their directives' hygiene is checked.
 var harnessDirs = []string{
 	"cmd",
 }
@@ -208,18 +205,6 @@ func (p *Program) Instrumented(pkg *Package) bool {
 		return false
 	}
 	return pkg.importsCore()
-}
-
-// Framework reports whether pkg implements the runtime itself. The
-// framework necessarily reaches around its own API (e.g. Cond.wait
-// releases a mutex through scheduler surgery rather than Unlock), so the
-// core-API-misuse checks (lockpair, joinleak) skip it; its test fixtures
-// under testdata are still checked.
-func (p *Program) Framework(pkg *Package) bool {
-	if strings.Contains(pkg.ImportPath, "/testdata/") {
-		return false
-	}
-	return underAny(p.relPath(pkg.ImportPath), frameworkDirs)
 }
 
 // relPath strips the module path prefix from an import path.

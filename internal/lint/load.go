@@ -24,7 +24,6 @@ type Program struct {
 
 	byPath map[string]*Package
 	std    types.Importer
-	inter  *interState // lazily-built whole-program call-graph state
 }
 
 // Package is one loaded, type-checked package.

@@ -35,28 +35,6 @@ func namedFrom(t types.Type, pkgSuffix, name string) bool {
 // isCoreThread reports whether t is *core.Thread.
 func isCoreThread(t types.Type) bool { return namedFrom(t, "internal/core", "Thread") }
 
-// methodOn resolves call's callee as a method and reports whether it is
-// method name on (a pointer to) pkgSuffix.typeName. It returns the
-// receiver expression for matching lock/unlock pairs.
-func methodOn(info *types.Info, call *ast.CallExpr, pkgSuffix, typeName, name string) (ast.Expr, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return nil, false
-	}
-	obj, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return nil, false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, false
-	}
-	if !namedFrom(sig.Recv().Type(), pkgSuffix, typeName) {
-		return nil, false
-	}
-	return sel.X, true
-}
-
 // threadFuncs collects every function in the package whose parameter list
 // includes a *core.Thread — the static signature of "code that runs as a
 // scheduler thread". Returns the body nodes keyed by the func node.
@@ -125,23 +103,3 @@ func enclosingThreadFunc(parents parentMap, funcs map[ast.Node]*ast.BlockStmt, n
 
 // position converts a token.Pos through the program's FileSet.
 func (p *Program) position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
-// allFunctions yields every function body in the package (declarations
-// and literals) with its describing node.
-func allFunctions(pkg *Package, fn func(node ast.Node, body *ast.BlockStmt)) {
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch f := n.(type) {
-			case *ast.FuncDecl:
-				if f.Body != nil {
-					fn(n, f.Body)
-				}
-			case *ast.FuncLit:
-				if f.Body != nil {
-					fn(n, f.Body)
-				}
-			}
-			return true
-		})
-	}
-}

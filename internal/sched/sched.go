@@ -59,11 +59,18 @@ type Abort struct{ Err error }
 type DeadlockError struct {
 	Tick    uint64
 	Blocked []string
+	// Held names each held lock and its owner. The scheduler knows
+	// mutexes by id only, so the runtime fills it once the run is over.
+	Held []string
 }
 
 func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("sched: deadlock at tick %d: all live threads blocked [%s]",
+	msg := fmt.Sprintf("sched: deadlock at tick %d: all live threads blocked [%s]",
 		e.Tick, strings.Join(e.Blocked, ", "))
+	if len(e.Held) > 0 {
+		msg += "; held: " + strings.Join(e.Held, ", ")
+	}
+	return msg
 }
 
 // StalledError reports that the execution exceeded the configured tick
