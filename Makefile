@@ -104,23 +104,23 @@ debug-smoke:
 		-script cmd/tsandebug/testdata/smoke.script \
 		| tee /tmp/tsandebug-transcript.txt
 
-# crash-smoke proves the durability story end to end: stream a recording
-# of a run far too long to finish, SIGKILL the recorder mid-flight,
-# recover the torn file (both as a replayable v1 demo via demoinspect and
-# directly), and replay the recovered prefix — it must come back
-# synchronised and marked truncated.
+# crash-smoke proves the durability story end to end on the §5.2 server:
+# stream a recording of a netload run far too long to finish, SIGKILL the
+# recorder mid-flight, recover the torn file into a v1 demo with
+# demoinspect (it must be marked truncated and validate), and strict-replay
+# the recovered prefix offline, which must come back synchronised.
 crash-smoke:
-	$(GO) build -o /tmp/crashrecord ./cmd/crashrecord
-	rm -f /tmp/crash-smoke.demo2
-	/tmp/crashrecord -program ms-queue -record /tmp/crash-smoke.demo2 \
-		-reps 100000000 -flush 5ms & pid=$$!; sleep 2; kill -9 $$pid
-	$(GO) run ./cmd/demoinspect -recover -o /tmp/crash-smoke-recovered.demo \
+	$(GO) build -o /tmp/netload ./cmd/netload
+	$(GO) build -o /tmp/demoinspect ./cmd/demoinspect
+	rm -f /tmp/crash-smoke.demo2 /tmp/crash-smoke-recovered.demo
+	/tmp/netload -conns 200000 -gap-ms 300 -mode queue+rec \
+		-record /tmp/crash-smoke.demo2 & pid=$$!; sleep 2; kill -9 $$pid
+	/tmp/demoinspect -recover -o /tmp/crash-smoke-recovered.demo \
 		/tmp/crash-smoke.demo2 | tee /tmp/crash-smoke-inspect.log
 	grep -q 'truncated:   yes' /tmp/crash-smoke-inspect.log
-	/tmp/crashrecord -program ms-queue -replay /tmp/crash-smoke.demo2 \
-		-reps 100000000 | tee /tmp/crash-smoke.log
-	grep -q 'replay synchronised' /tmp/crash-smoke.log
-	grep -q 'truncated=true' /tmp/crash-smoke.log
+	grep -q 'validation:  ok' /tmp/crash-smoke-inspect.log
+	/tmp/netload -replay /tmp/crash-smoke-recovered.demo | tee /tmp/crash-smoke.log
+	grep -q 'desync=false' /tmp/crash-smoke.log
 
 # load-smoke proves the scaling pipeline end to end: the epoll-based
 # netload server under 1000 virtual connections arriving open-loop over
@@ -147,12 +147,15 @@ experiments-smoke:
 # examples-smoke builds and runs the examples that print a verdict and
 # greps each verdict: netclient's offline replay reproduces its output,
 # gamereplay's offline replay reproduces the bug, weakmemory finds its
-# C++11-only race, and workerpool (the one program on conc's bounded Queue)
-# replays both pools identically and reports races in the buggy one.
+# C++11-only race, workerpool (the one program on conc's bounded Queue)
+# replays both pools identically and reports races in the buggy one, and
+# explore's minimized demo replays to its race. explore writes corpus.json
+# and one demo per corpus entry into its working directory, so it runs from
+# /tmp/examples-smoke.
 examples-smoke:
 	mkdir -p /tmp/examples-smoke
 	$(GO) build -o /tmp/examples-smoke/ ./examples/netclient ./examples/gamereplay \
-		./examples/weakmemory ./examples/workerpool
+		./examples/weakmemory ./examples/workerpool ./examples/explore
 	/tmp/examples-smoke/netclient | tee /tmp/examples-smoke/netclient.log
 	grep -q 'output identical=true' /tmp/examples-smoke/netclient.log
 	/tmp/examples-smoke/gamereplay | tee /tmp/examples-smoke/gamereplay.log
@@ -162,6 +165,8 @@ examples-smoke:
 	/tmp/examples-smoke/workerpool | tee /tmp/examples-smoke/workerpool.log
 	test $$(grep -c 'replay: identical=true' /tmp/examples-smoke/workerpool.log) -eq 2
 	grep -A1 'buggy pool' /tmp/examples-smoke/workerpool.log | grep -q 'races=[1-9]'
+	cd /tmp/examples-smoke && ./explore | tee explore.log
+	grep -q 'replay of minimized demo: races=[1-9]' /tmp/examples-smoke/explore.log
 
 # fuzz-smoke fuzzes every decoder beyond its seed corpus for 30s each: the
 # v1/v2 demo decoder (FuzzDecode), the torn-file recovery path

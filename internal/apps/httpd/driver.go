@@ -1,7 +1,6 @@
 package httpd
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/apps/modes"
@@ -11,26 +10,17 @@ import (
 )
 
 // Outcome is the result of one server-under-load execution.
-type Outcome struct {
-	Load   LoadResult
-	Report *core.Report
-	Err    error
-}
+type Outcome = modes.Outcome[LoadResult]
 
-// Races returns the number of distinct races detected.
-func (o Outcome) Races() int {
-	if o.Report == nil {
-		return 0
+// runner runs the server with the Table 2 budget.
+func runner(cfg Config) modes.Runner {
+	return modes.Runner{
+		Body:    func(rt *core.Runtime) func(*core.Thread) { return Server(rt, cfg) },
+		Wall:    120 * time.Second,
+		Ticks:   200_000_000,
+		Trace:   cfg.Trace,
+		Metrics: cfg.Metrics,
 	}
-	return o.Report.RaceCount()
-}
-
-// DemoBytes returns the encoded demo size (0 if not recording).
-func (o Outcome) DemoBytes() int {
-	if o.Report == nil || o.Report.Demo == nil {
-		return 0
-	}
-	return o.Report.Demo.Size()
 }
 
 // RunExperiment runs the server under the named mode while the ab-model
@@ -44,38 +34,9 @@ func RunExperiment(cfg Config, mode string, seed uint64, reportRaces bool, reque
 	}
 	world := env.NewWorld(seed)
 	opts.World = world
-	opts.WallTimeout = 120 * time.Second
-	opts.MaxTicks = 200_000_000
-	opts.Trace, opts.Metrics = cfg.Trace, cfg.Metrics
-	rt, err := core.New(opts)
-	if err != nil {
-		return Outcome{Err: err}
-	}
-
-	type runOut struct {
-		rep *core.Report
-		err error
-	}
-	// The host-side bridge between the runtime (whose Run must overlap the
-	// live load generator) and the external world is itself external: its
-	// goroutine and channels exist outside the recorded execution.
-	done := make(chan runOut, 1) //tsanrec:external host-side completion channel, outside the recorded execution
-	//tsanrec:external host-side driver goroutine running the runtime while the load generator issues traffic
-	go func() {
-		rep, err := rt.Run(Server(rt, cfg))
-		done <- runOut{rep, err}
-	}()
-
-	load := RunLoad(world, cfg.Port, requests, concurrency, 20*time.Second)
-	world.Kill(SigTerm)
-
-	//tsanrec:external host-side drain timeout: a hung server must fail the experiment rather than wedge the harness
-	select {
-	case out := <-done:
-		return Outcome{Load: load, Report: out.rep, Err: out.err}
-	case <-time.After(150 * time.Second):
-		return Outcome{Load: load, Err: fmt.Errorf("httpd: server did not drain after SIGTERM")}
-	}
+	return modes.Serve(runner(cfg), opts, func() LoadResult {
+		return RunLoad(world, cfg.Port, requests, concurrency, 20*time.Second)
+	})
 }
 
 // Replay re-executes a recorded server run offline: no load generator, no
@@ -83,18 +44,5 @@ func RunExperiment(cfg Config, mode string, seed uint64, reportRaces bool, reque
 // debugging workflow §2 motivates ("repeatedly replay the execution
 // without having to connect to a real server").
 func Replay(cfg Config, d *demo.Demo, reportRaces bool) Outcome {
-	rt, err := core.New(core.Options{
-		Strategy:    d.Strategy,
-		Replay:      d,
-		ReportRaces: reportRaces,
-		WallTimeout: 120 * time.Second,
-		MaxTicks:    200_000_000,
-		Trace:       cfg.Trace,
-		Metrics:     cfg.Metrics,
-	})
-	if err != nil {
-		return Outcome{Err: err}
-	}
-	rep, err := rt.Run(Server(rt, cfg))
-	return Outcome{Report: rep, Err: err}
+	return modes.Replay[LoadResult](runner(cfg), d, reportRaces)
 }

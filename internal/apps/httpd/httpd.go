@@ -15,13 +15,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps/modes"
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/obs"
 )
 
 // SigTerm is the shutdown signal the load driver sends when done.
-const SigTerm int32 = 15
+const SigTerm = modes.SigTerm
 
 // Config parameterises the server.
 type Config struct {

@@ -1,7 +1,10 @@
 // Package modes maps the paper's tool-configuration names (native, tsan11,
 // rr, tsan11+rr, rnd, queue, rnd+rec, queue+rec, pct) onto core.Options.
 // Every evaluation driver and benchmark uses these so that a configuration
-// means the same thing in every table.
+// means the same thing in every table. It also runs the server programs
+// (httpd, netload) one way for every table: Serve runs one live under a
+// host-side load generator, then signals it and waits for it to drain, and
+// Replay re-executes a recorded run offline.
 package modes
 
 import (

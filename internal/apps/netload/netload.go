@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/apps/modes"
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/obs"
@@ -20,7 +21,7 @@ import (
 )
 
 // SigTerm is the shutdown signal the load driver sends when done.
-const SigTerm int32 = 15
+const SigTerm = modes.SigTerm
 
 // Config parameterises the server.
 type Config struct {

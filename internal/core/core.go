@@ -158,7 +158,7 @@ func New(opts Options) (*Runtime, error) {
 		opts.WallTimeout = 30 * time.Second
 	}
 	if opts.RescheduleQuantum == 0 {
-		opts.RescheduleQuantum = 2 * time.Millisecond
+		opts.RescheduleQuantum = defaultQuantum
 	}
 	if opts.SpawnDelay == 0 {
 		opts.SpawnDelay = 100 * time.Microsecond
@@ -518,6 +518,10 @@ func (rt *Runtime) threadBody(t *Thread, fn func(*Thread)) {
 	t.exit()
 }
 
+// defaultQuantum is the liveness quantum n of §3.3 when Options leaves it
+// zero, and the watchdog's period when forced reschedules are off.
+const defaultQuantum = 2 * time.Millisecond
+
 // watchdog is the timer that stands in for the background thread tsan
 // lends the paper (§3.3): every quantum it forces a reschedule if the
 // current thread is stuck in an invisible region, and it declares deadlock
@@ -537,7 +541,7 @@ func (rt *Runtime) startWatchdog() *watchdog {
 	now := time.Now()
 	w := &watchdog{rt: rt, quantum: rt.opts.RescheduleQuantum, last: now, deadline: now.Add(rt.opts.WallTimeout)}
 	if w.quantum < 0 {
-		w.quantum = 100 * time.Millisecond // deadlock detection only
+		w.quantum = defaultQuantum // deadlock and wall timeout checks only
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -635,38 +639,24 @@ func (rt *Runtime) emit(p []byte) {
 
 // cpuToken is the rr-model virtual single core: when sequentialisation is
 // on, a thread holds it whenever it executes user code and releases it
-// while blocked at a scheduling point.
+// while blocked at a scheduling point. Thread.onCPU says whether the thread
+// holds it; only the thread's own goroutine acquires or releases it.
 type cpuToken struct {
-	mu   sync.Mutex
-	held map[TID]bool
-	lk   sync.Mutex
+	mu sync.Mutex
 }
 
 func (c *cpuToken) acquire(t *Thread) {
-	c.lk.Lock()
-	if c.held == nil {
-		c.held = make(map[TID]bool)
+	if !t.onCPU {
+		c.mu.Lock()
+		t.onCPU = true
 	}
-	if c.held[t.id] {
-		c.lk.Unlock()
-		return
-	}
-	c.lk.Unlock()
-	c.mu.Lock()
-	c.lk.Lock()
-	c.held[t.id] = true
-	c.lk.Unlock()
 }
 
 func (c *cpuToken) release(t *Thread) {
-	c.lk.Lock()
-	if c.held != nil && c.held[t.id] {
-		c.held[t.id] = false
-		c.lk.Unlock()
+	if t.onCPU {
+		t.onCPU = false
 		c.mu.Unlock()
-		return
 	}
-	c.lk.Unlock()
 }
 
 // ThreadNames returns the debug names of every thread the run created,

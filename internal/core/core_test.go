@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/demo"
 	"repro/internal/sched"
@@ -133,6 +134,30 @@ func TestDeadlockDetected(t *testing.T) {
 	var dl *sched.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("expected DeadlockError, got %v", err)
+	}
+}
+
+// TestDeadlockDetectedWithoutReschedules: with forced reschedules off the
+// watchdog still checks at the default 2ms quantum, so a deadlock ends the
+// run within a few checks.
+func TestDeadlockDetectedWithoutReschedules(t *testing.T) {
+	rt := newTestRuntime(t, Options{Strategy: demo.StrategyRandom, Seed1: 5, Seed2: 6, RescheduleQuantum: -1})
+	start := time.Now()
+	_, err := rt.Run(func(main *Thread) {
+		m := rt.NewMutex("m")
+		m.Lock(main)
+		main.Join(main.Spawn("blocked", func(w *Thread) {
+			m.Lock(w)
+			m.Unlock(w)
+		}))
+	})
+	elapsed := time.Since(start)
+	var dl *sched.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("expected DeadlockError, got %v", err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("deadlock declared after %v, want within 100ms", elapsed)
 	}
 }
 

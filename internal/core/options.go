@@ -85,7 +85,8 @@ type Options struct {
 	// RescheduleQuantum is the liveness quantum n of §3.3: the background
 	// rescheduler forces a scheduling decision when the current thread
 	// spends longer than this outside a critical section. 0 means the
-	// 2ms default; negative disables.
+	// 2ms default; negative disables forced reschedules, and the watchdog
+	// still checks for deadlock and the wall timeout every 2ms.
 	RescheduleQuantum time.Duration
 	// MaxTicks aborts runaway executions (0 = 50M safety default).
 	MaxTicks uint64

@@ -37,8 +37,9 @@ func runNeedle(t testing.TB, opts core.Options) (*core.Runtime, *core.Report) {
 }
 
 // quiet is needle's trial configuration: random under seeds (1, 2),
-// recorded in memory, with the reschedule watchdog off, so the watchdog's
-// timer only checks for deadlock, every 100ms, and never fires in a run.
+// recorded in memory, with forced reschedules off, so the watchdog's timer
+// only checks for deadlock and the wall timeout, every 2ms, and a needle
+// run, well under a millisecond, ends before it first fires.
 func quiet() core.Options {
 	opts := core.RecordOptions(demo.StrategyRandom, 1, 2)
 	opts.RescheduleQuantum = -1

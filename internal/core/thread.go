@@ -29,6 +29,10 @@ type Thread struct {
 	evOff    uint64
 	evStream obs.Stream
 
+	// onCPU marks a thread that holds the rr model's virtual CPU
+	// (cpuToken). Owned by the thread's own goroutine.
+	onCPU bool
+
 	// held counts the Mutexes the thread holds, so exit can tell a thread
 	// that returns with one still locked. Owned by the thread's own
 	// goroutine and changed only inside its critical sections.

@@ -87,6 +87,52 @@ func TestABBADeadlockFoundAndReplayed(t *testing.T) {
 	}
 }
 
+// TestPCTDeadlockReproduced: the minimizer replays a PCT or delay trial
+// under that trial's depth and length, which its demo does not carry, so
+// every AB/BA deadlock such a trial finds reproduces. The seeds find 2, 3
+// and 4 deadlocks.
+func TestPCTDeadlockReproduced(t *testing.T) {
+	pct, delay := []demo.Strategy{demo.StrategyPCT}, []demo.Strategy{demo.StrategyDelay}
+	sweeps := []struct {
+		name  string
+		seeds []uint64
+		rot   SeedRotation
+	}{
+		{"pct, length 16", []uint64{1, 2, 3}, SeedRotation{Strategies: pct, PCTLength: 16}},
+		{"delay, length 16", []uint64{1, 2, 3}, SeedRotation{Strategies: delay, PCTLength: 16}},
+		{"pct, depth 5, length 16", []uint64{2, 3, 4, 5}, SeedRotation{Strategies: pct, PCTDepths: []int{5}, PCTLength: 16}},
+	}
+	for _, sw := range sweeps {
+		found := 0
+		for _, seed := range sw.seeds {
+			src := sw.rot
+			src.MasterSeed = seed
+			res, err := Run(Config{
+				Program:           abba,
+				Source:            &src,
+				Trials:            16,
+				RescheduleQuantum: -1,
+				Minimize:          true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range res.Failures {
+				if !strings.HasPrefix(f.Signature, "deadlock:[") {
+					continue
+				}
+				found++
+				if !f.Reproduced {
+					t.Errorf("%s, seed %d: %v trial %d's deadlock did not reproduce", sw.name, seed, f.Spec.Strategy, f.Spec.Index)
+				}
+			}
+		}
+		if found == 0 {
+			t.Errorf("%s: no deadlock at seeds %v", sw.name, sw.seeds)
+		}
+	}
+}
+
 // droppedHandle spawns two threads and joins neither: one handle is
 // discarded, the other only read.
 func droppedHandle(joined bool) Program {

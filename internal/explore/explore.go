@@ -436,8 +436,13 @@ type trialFailure struct {
 }
 
 // trialOptions is the one place trial knobs map onto core.Options, shared
-// by the recording trials and the minimizer's replays.
-func trialOptions(cfg *Config, base core.Options) core.Options {
+// by the recording trials and the minimizer's replays. A fresh trial runs
+// under its spec's PCT depth and length, and so do the replays of its demo,
+// which does not carry them; a mutant runs under the strategy defaults.
+func trialOptions(cfg *Config, spec TrialSpec, base core.Options) core.Options {
+	if spec.Mutant == nil {
+		base.PCTDepth, base.PCTLength = spec.PCTDepth, spec.PCTLength
+	}
 	base.MaxTicks = cfg.MaxTicks
 	base.RescheduleQuantum = cfg.RescheduleQuantum
 	base.Trace = cfg.Trace
@@ -454,11 +459,9 @@ func runTrial(cfg *Config, spec TrialSpec) (Outcome, *trialFailure, *demo.Demo) 
 	if m := spec.Mutant; m != nil {
 		// Mutated trial: replay the candidate tolerantly, re-recording what
 		// actually executes. The report's Demo is the new recording.
-		opts = trialOptions(cfg, core.TolerantReplayOptions(m.Demo))
+		opts = trialOptions(cfg, spec, core.TolerantReplayOptions(m.Demo))
 	} else {
-		opts = trialOptions(cfg, core.RecordOptions(spec.Strategy, spec.Seed1, spec.Seed2))
-		opts.PCTDepth = spec.PCTDepth
-		opts.PCTLength = spec.PCTLength
+		opts = trialOptions(cfg, spec, core.RecordOptions(spec.Strategy, spec.Seed1, spec.Seed2))
 		if cfg.RecordDir != "" {
 			opts.RecordPath = filepath.Join(cfg.RecordDir, fmt.Sprintf("trial%06d.demo2", spec.Index))
 			opts.RecordDiscardPassing = true

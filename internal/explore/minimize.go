@@ -37,7 +37,7 @@ func minimizeFailure(cfg *Config, f *Failure) {
 	replays := 0
 	reproduces := func(d *demo.Demo) bool {
 		replays++
-		return replaySignature(cfg, d) == f.Signature
+		return replaySignature(cfg, f.Spec, d) == f.Signature
 	}
 
 	f.Minimized = f.Demo
@@ -59,7 +59,7 @@ func minimizeFailure(cfg *Config, f *Failure) {
 		if ok && cand.Strategy == demo.StrategyQueue {
 			cand.Truncated = true
 			replays++
-			ok = replayPrefixSignature(cfg, cand) == f.Signature
+			ok = replayPrefixSignature(cfg, f.Spec, cand) == f.Signature
 		} else if ok {
 			ok = reproduces(cand)
 		}
@@ -97,13 +97,13 @@ func minimizeFailure(cfg *Config, f *Failure) {
 	}
 }
 
-// replaySignature replays d under the sweep's trial knobs and returns the
+// replaySignature replays d under the knobs of trial spec and returns the
 // resulting failure signature. A candidate that hard-desyncs comes back
 // as "desync:<stream>", which never equals a recorded signature (record
 // mode cannot desync), so broken candidates are rejected by the ordinary
 // signature comparison.
-func replaySignature(cfg *Config, d *demo.Demo) string {
-	rep, err := replayReport(cfg, d)
+func replaySignature(cfg *Config, spec TrialSpec, d *demo.Demo) string {
+	rep, err := replayReport(cfg, spec, d)
 	if err != nil {
 		return "config:" + err.Error()
 	}
@@ -116,8 +116,8 @@ func replaySignature(cfg *Config, d *demo.Demo) string {
 // committed by the cut instead: output is ordered by the schedule, and
 // the candidate follows the recorded schedule up to the cut. Later
 // replays of d check against that hash as usual.
-func replayPrefixSignature(cfg *Config, d *demo.Demo) string {
-	rep, err := replayReport(cfg, d)
+func replayPrefixSignature(cfg *Config, spec TrialSpec, d *demo.Demo) string {
+	rep, err := replayReport(cfg, spec, d)
 	if err != nil {
 		return "config:" + err.Error()
 	}
@@ -126,8 +126,8 @@ func replayPrefixSignature(cfg *Config, d *demo.Demo) string {
 	return signatureOf(rep)
 }
 
-func replayReport(cfg *Config, d *demo.Demo) (*core.Report, error) {
-	rt, err := core.New(trialOptions(cfg, core.ReplayOptions(d)))
+func replayReport(cfg *Config, spec TrialSpec, d *demo.Demo) (*core.Report, error) {
+	rt, err := core.New(trialOptions(cfg, spec, core.ReplayOptions(d)))
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestMinimizerProperty(t *testing.T) {
 			t.Errorf("failure %q: minimized FinalTick grew: %d > %d",
 				f.Signature, f.Minimized.FinalTick, f.Demo.FinalTick)
 		}
-		if sig := replaySignature(&cfg, f.Minimized); sig != f.Signature {
+		if sig := replaySignature(&cfg, f.Spec, f.Minimized); sig != f.Signature {
 			t.Errorf("failure %q: minimized demo replays to %q", f.Signature, sig)
 		}
 	}
@@ -81,7 +81,7 @@ func TestMinimizerQueueStrategy(t *testing.T) {
 			t.Errorf("failure %q: minimizer grew the demo", f.Signature)
 		}
 		if f.Reproduced {
-			if sig := replaySignature(&cfg, f.Minimized); sig != f.Signature {
+			if sig := replaySignature(&cfg, f.Spec, f.Minimized); sig != f.Signature {
 				t.Errorf("failure %q: minimized queue demo replays to %q", f.Signature, sig)
 			}
 		}
@@ -157,7 +157,7 @@ func TestMinimizedQueuePrefixStopsAtCut(t *testing.T) {
 		t.Fatalf("prefix kept the whole run's output hash %#x", m.OutputHash)
 	}
 	for i := 0; i < 10; i++ {
-		rt, err := core.New(trialOptions(&cfg, core.ReplayOptions(m)))
+		rt, err := core.New(trialOptions(&cfg, f.Spec, core.ReplayOptions(m)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestSignatureOfStability(t *testing.T) {
 		if f.Signature == "" {
 			t.Fatal("failing trial produced an empty signature")
 		}
-		if sig := replaySignature(&cfg, f.Demo); sig != f.Signature {
+		if sig := replaySignature(&cfg, f.Spec, f.Demo); sig != f.Signature {
 			t.Errorf("recorded signature %q but replay yields %q", f.Signature, sig)
 		}
 	}

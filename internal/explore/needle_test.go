@@ -142,7 +142,7 @@ func TestMutationDeepFailureLineageReplays(t *testing.T) {
 	if err := deep.Demo.Validate(); err != nil {
 		t.Fatalf("deep failure demo not Validate-clean: %v", err)
 	}
-	if sig := replaySignature(&cfg, deep.Demo); sig != deep.Signature {
+	if sig := replaySignature(&cfg, deep.Spec, deep.Demo); sig != deep.Signature {
 		t.Errorf("deep failure demo strict-replays to %q, want %q", sig, deep.Signature)
 	}
 
@@ -260,7 +260,7 @@ func TestRecordDirMatchesInMemorySweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sig := replaySignature(&cfg, d); sig != rec.Outcomes[idx].Signature {
+		if sig := replaySignature(&cfg, rec.Outcomes[idx].Spec, d); sig != rec.Outcomes[idx].Signature {
 			t.Errorf("%s strict-replays to %q, want %q", name, sig, rec.Outcomes[idx].Signature)
 		}
 	}

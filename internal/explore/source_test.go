@@ -293,7 +293,7 @@ func TestMutationSweepFailingMutantsAreReplayable(t *testing.T) {
 		if err := f.Demo.Validate(); err != nil {
 			t.Fatalf("mutant failure %q re-recording invalid: %v", f.Signature, err)
 		}
-		if sig := replaySignature(&cfg, f.Demo); sig != f.Signature {
+		if sig := replaySignature(&cfg, f.Spec, f.Demo); sig != f.Signature {
 			t.Errorf("mutant failure %q replays to %q", f.Signature, sig)
 		}
 	}

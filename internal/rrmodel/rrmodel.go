@@ -50,21 +50,3 @@ func Options(seed1, seed2 uint64, record bool) core.Options {
 		Policy:           core.PolicyRR,
 	}
 }
-
-// ReplayOptions returns rr-baseline options replaying a previously
-// recorded demo.
-func ReplayOptions(d *demo.Demo) core.Options {
-	return core.Options{
-		Strategy:         demo.StrategyQueue,
-		Replay:           d,
-		Sequentialize:    true,
-		PerEventOverhead: PerEventCost,
-		StartupOverhead:  StartupCost,
-		Policy:           core.PolicyRR,
-	}
-}
-
-// New constructs an rr-model runtime.
-func New(seed1, seed2 uint64, record bool) (*core.Runtime, error) {
-	return core.New(Options(seed1, seed2, record))
-}

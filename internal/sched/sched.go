@@ -129,7 +129,6 @@ type thread struct {
 	done        bool
 	inWait      bool
 	midCritical bool
-	started     bool
 	lastTick    uint64
 
 	// park is the thread's private gate: the thread blocks on it inside
@@ -143,8 +142,7 @@ type thread struct {
 
 	waitMutex uint64 // nonzero if disabled waiting for this mutex
 	waitCond  uint64 // nonzero if registered as waiter on this condvar
-	condTimed bool
-	condTaken bool // received a cond signal since registering
+	condTaken bool   // received a cond signal since registering
 
 	waitJoin    TID // target of a blocking join, NoTID otherwise
 	joinWaiters []TID
@@ -307,14 +305,6 @@ func (s *Scheduler) TickCount() uint64 {
 	return s.tick
 }
 
-// LastTick returns the tick value of tid's most recently completed critical
-// section.
-func (s *Scheduler) LastTick(tid TID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.threads[tid].lastTick
-}
-
 // Err returns the error that stopped the scheduler, if any.
 func (s *Scheduler) Err() error {
 	s.mu.Lock()
@@ -386,7 +376,6 @@ func (s *Scheduler) Wait(tid TID) {
 	}
 	th.inWait = false
 	th.midCritical = true
-	th.started = true
 }
 
 // Tick completes tid's visible operation: it advances the logical clock,

@@ -69,7 +69,6 @@ func (s *Scheduler) CondWait(tid TID, c uint64, timed bool) {
 	s.assertCurrentLocked(tid, "CondWait")
 	th := s.threads[tid]
 	th.waitCond = c
-	th.condTimed = timed
 	th.condTaken = false
 	if !timed {
 		th.enabled = false
