@@ -420,20 +420,54 @@ func BenchmarkDecodeStream(b *testing.B) {
 	}
 }
 
-// BenchmarkVirtualWake measures one virtual-time wake: a SleepVirtual on a
-// quiet world at the default 100µs check interval, which returns once the
-// advancer has seen the world untouched for that interval. Its ns/op is
-// the interval plus what the advancer's naps overshoot it by; netload's
-// arrivals each pay it.
+// BenchmarkVirtualWake measures one virtual-time wake at the default
+// 100µs check interval, which the advancer counts from the world's last
+// change. On a quiet world (quiet) a SleepVirtual's own timer is that
+// change, so its ns/op is the interval plus what the advancer's last nap
+// overshoots it by. In changed the world changes three times, 20µs
+// apart, while the timer is pending, as a netload arrival's handling
+// changes it; after-change-ns/op is the time from the last change to the
+// wake, which each of netload's arrivals pays.
 func BenchmarkVirtualWake(b *testing.B) {
-	w := env.NewWorld(1)
-	defer w.Shutdown()
-	w.EnableVirtualTime(0)
-	for i := 0; i < b.N; i++ {
-		if err := w.SleepVirtual(time.Second); err != nil {
-			b.Fatal(err)
+	b.Run("quiet", func(b *testing.B) {
+		w := env.NewWorld(1)
+		defer w.Shutdown()
+		w.EnableVirtualTime(0)
+		for i := 0; i < b.N; i++ {
+			if err := w.SleepVirtual(time.Second); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("changed", func(b *testing.B) {
+		w := env.NewWorld(1)
+		defer w.Shutdown()
+		w.EnableVirtualTime(0)
+		rfd, wfd := w.Pipe()
+		one := []byte{1}
+		ready, woke := make(chan struct{}), make(chan time.Time)
+		var after time.Duration
+		for i := 0; i < b.N; i++ {
+			go func() {
+				ready <- struct{}{}
+				if err := w.SleepVirtual(time.Second); err != nil {
+					b.Error(err)
+				}
+				woke <- time.Now()
+			}()
+			<-ready
+			var last time.Time
+			for j := 0; j < 3; j++ {
+				for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+				}
+				w.Write(wfd, one)
+				w.Read(rfd, 1)
+				last = time.Now()
+			}
+			after += (<-woke).Sub(last)
+		}
+		b.ReportMetric(float64(after.Nanoseconds())/float64(b.N), "after-change-ns/op")
+	})
 }
 
 // obsBenchOps is how many visible operations each observability benchmark

@@ -23,13 +23,15 @@ import (
 // Result is one benchmark line. BytesPerOp/AllocsPerOp are present only
 // when the run used -benchmem; they are pointers so that a genuine
 // measured zero (the detector release path's target) survives JSON
-// round-tripping distinct from "not measured".
+// round-tripping distinct from "not measured". Metrics holds every other
+// column by its unit: MB/s from b.SetBytes and each b.ReportMetric.
 type Result struct {
-	Name        string   `json:"name"`
-	Iters       int64    `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iters       int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Point is one trajectory entry: every benchmark of one run.
@@ -91,11 +93,16 @@ func parseLine(line string) (r Result, ok bool, err error) {
 		if err != nil {
 			return Result{}, false, fmt.Errorf("benchjson: bad %s in %q: %v", cols[i+1], line, err)
 		}
-		switch cols[i+1] {
+		switch unit := cols[i+1]; unit {
 		case "B/op":
 			r.BytesPerOp = &v
 		case "allocs/op":
 			r.AllocsPerOp = &v
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[unit] = v
 		}
 	}
 	return r, true, nil

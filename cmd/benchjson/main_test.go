@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestRunParsesBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d results, want 4: %+v", len(p.Results), p.Results)
 	}
 	want := Result{Name: "BenchmarkVisibleOpThreads/threads-2", Iters: 16940679, NsPerOp: 81.36}
-	if p.Results[0] != want {
+	if !reflect.DeepEqual(p.Results[0], want) {
 		t.Errorf("first result = %+v, want %+v", p.Results[0], want)
 	}
 	if r := p.Results[0]; r.BytesPerOp != nil || r.AllocsPerOp != nil {
@@ -64,7 +65,8 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 }
 
 // Every column after ns/op is a value-unit pair, so B/op and allocs/op are
-// found behind b.SetBytes's MB/s and b.ReportMetric's own columns too.
+// found behind b.SetBytes's MB/s and b.ReportMetric's own columns too,
+// and those columns are kept by unit.
 func TestRunReadsEveryColumn(t *testing.T) {
 	f := func(v float64) *float64 { return &v }
 	cases := []struct {
@@ -76,11 +78,13 @@ func TestRunReadsEveryColumn(t *testing.T) {
 		{"benchmem", "BenchmarkNeedleRun-2 \t   10000\t    105000 ns/op\t    6900 B/op\t      72 allocs/op",
 			Result{Name: "BenchmarkNeedleRun-2", Iters: 10000, NsPerOp: 105000, BytesPerOp: f(6900), AllocsPerOp: f(72)}},
 		{"SetBytes", "BenchmarkDecodeStream-2 \t    5000\t    215000 ns/op\t  72.30 MB/s\t  139616 B/op\t       7 allocs/op",
-			Result{Name: "BenchmarkDecodeStream-2", Iters: 5000, NsPerOp: 215000, BytesPerOp: f(139616), AllocsPerOp: f(7)}},
-		{"ReportMetric", "BenchmarkVirtualWake \t   10000\t    104000 ns/op\t         3.000 naps/op\t      96 B/op\t       2 allocs/op",
-			Result{Name: "BenchmarkVirtualWake", Iters: 10000, NsPerOp: 104000, BytesPerOp: f(96), AllocsPerOp: f(2)}},
+			Result{Name: "BenchmarkDecodeStream-2", Iters: 5000, NsPerOp: 215000, BytesPerOp: f(139616), AllocsPerOp: f(7),
+				Metrics: map[string]float64{"MB/s": 72.3}}},
+		{"ReportMetric", "BenchmarkVirtualWake/changed-2 \t    6666\t    185506 ns/op\t    112773 after-change-ns/op\t     187 B/op\t       5 allocs/op",
+			Result{Name: "BenchmarkVirtualWake/changed-2", Iters: 6666, NsPerOp: 185506, BytesPerOp: f(187), AllocsPerOp: f(5),
+				Metrics: map[string]float64{"after-change-ns/op": 112773}}},
 		{"SetBytes and ReportMetric without benchmem", "BenchmarkX \t 100\t 12.5 ns/op\t 80.00 MB/s\t 0.5000 hits/op",
-			Result{Name: "BenchmarkX", Iters: 100, NsPerOp: 12.5}},
+			Result{Name: "BenchmarkX", Iters: 100, NsPerOp: 12.5, Metrics: map[string]float64{"MB/s": 80, "hits/op": 0.5}}},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

@@ -190,11 +190,7 @@ func (t *Thread) Write(fd int, data []byte) (int, env.Errno) {
 // expired, mirroring the paper's treatment of timers as nondeterminism the
 // scheduler resolves (§3.2). The fds slice's Revents fields are filled in.
 func (t *Thread) Poll(fds []env.PollFD, timeoutMS int) (int, env.Errno) {
-	if timeoutMS > 0 && t.rt.rep == nil {
-		wait := time.Duration(timeoutMS) * time.Millisecond
-		if wait > 2*time.Millisecond {
-			wait = 2 * time.Millisecond
-		}
+	if wait, ok := t.pollWait(timeoutMS); ok {
 		t.rt.world.WaitReadable(fds, wait)
 	}
 	r := t.syscall(env.SysPoll, pollPolicyFD(t, fds), func() sysResult {
@@ -211,6 +207,18 @@ func (t *Thread) Poll(fds []env.PollFD, timeoutMS int) (int, env.Errno) {
 		}
 	}
 	return int(r.ret), r.errno
+}
+
+// pollWait reports whether a poll with a positive timeout parks first,
+// and for how long: timeoutMS capped at 2ms. A live call parks; a
+// replayed one returns its recorded result at once. A tolerant replay
+// runs live once it has diverged, so from then on its polls park as a
+// recording's do rather than spin through the program's retries.
+func (t *Thread) pollWait(timeoutMS int) (time.Duration, bool) {
+	if timeoutMS <= 0 || t.rt.rep != nil && !t.rt.rep.DivergedNow() {
+		return 0, false
+	}
+	return min(time.Duration(timeoutMS)*time.Millisecond, 2*time.Millisecond), true
 }
 
 // pollPolicyFD picks the fd whose kind drives the recording decision for a
@@ -276,11 +284,7 @@ func (t *Thread) EpollCtl(epfd, op, fd int, events int16) env.Errno {
 // contract that lets one thread multiplex thousands of connections. The
 // batch is recorded under the Net policy, like a poll result set.
 func (t *Thread) EpollWait(epfd, max, timeoutMS int) ([]env.EpollEvent, env.Errno) {
-	if timeoutMS > 0 && t.rt.rep == nil {
-		wait := time.Duration(timeoutMS) * time.Millisecond
-		if wait > 2*time.Millisecond {
-			wait = 2 * time.Millisecond
-		}
+	if wait, ok := t.pollWait(timeoutMS); ok {
 		t.rt.world.WaitEpoll(epfd, wait)
 	}
 	r := t.syscall(env.SysEpollWait, epfd, func() sysResult {

@@ -101,8 +101,13 @@ func newSyscallWorld() *env.World {
 	return w
 }
 
-func startClient(w *env.World) {
+func startClient(w *env.World) { startClientAfter(w, 0) }
+
+// startClientAfter starts syscallProgram's client, which connects after
+// delay.
+func startClientAfter(w *env.World, delay time.Duration) {
 	go func() {
+		time.Sleep(delay)
 		conn, err := w.ExternalConnect(9100, 5*time.Second)
 		if err != nil {
 			return
@@ -153,6 +158,33 @@ func TestAllSyscallWrappersRecordReplay(t *testing.T) {
 // strict replay stops with it; a tolerant one reports it as its
 // divergence and runs the accept live.
 func TestAcceptFdOutOfStep(t *testing.T) {
+	d, want := outOfStepAccept(t)
+	rt2 := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: d, World: newSyscallWorld()})
+	_, err := rt2.Run(syscallProgram(rt2))
+	var de *demo.DesyncError
+	if !errors.As(err, &de) || de.Stream != "SYSCALL" || de.Reason != want {
+		t.Fatalf("strict replay err = %v, want a SYSCALL desync %q", err, want)
+	}
+
+	live := newSyscallWorld()
+	startClient(live)
+	opts := TolerantReplayOptions(d)
+	opts.World = live
+	rt3 := newTestRuntime(t, opts)
+	rep, err := rt3.Run(syscallProgram(rt3))
+	if err != nil {
+		t.Fatalf("tolerant replay: %v", err)
+	}
+	if rep.Diverged == nil || rep.Diverged.Reason != want {
+		t.Fatalf("tolerant replay diverged %v, want reason %q", rep.Diverged, want)
+	}
+}
+
+// outOfStepAccept records syscallProgram and moves its successful
+// accept4's fd 7 past the one the fd table hands out. It returns the
+// demo and the reason a replay of it reports.
+func outOfStepAccept(t *testing.T) (*demo.Demo, string) {
+	t.Helper()
 	world := newSyscallWorld()
 	startClient(world)
 	rt := newTestRuntime(t, Options{
@@ -171,23 +203,24 @@ func TestAcceptFdOutOfStep(t *testing.T) {
 	}
 	fd := d.Syscalls[i].Ret
 	d.Syscalls[i].Ret = fd + 7
-	want := fmt.Sprintf("replayed accept fd %d out of step with the fd table (next fd %d)", fd+7, fd)
+	return d, fmt.Sprintf("replayed accept fd %d out of step with the fd table (next fd %d)", fd+7, fd)
+}
 
-	rt2 := newTestRuntime(t, Options{Strategy: demo.StrategyQueue, Replay: d, World: newSyscallWorld()})
-	_, err = rt2.Run(syscallProgram(rt2))
-	var de *demo.DesyncError
-	if !errors.As(err, &de) || de.Stream != "SYSCALL" || de.Reason != want {
-		t.Fatalf("strict replay err = %v, want a SYSCALL desync %q", err, want)
-	}
-
+// TestDivergedReplayPollsWait: a tolerant replay runs live once it has
+// diverged, so its timed polls park as a recording's do. Diverged at the
+// accept, syscallProgram's accept loop waits in Poll for a live client
+// that connects 200ms late; a poll that returned at once would spin
+// through the loop's retries within milliseconds and panic.
+func TestDivergedReplayPollsWait(t *testing.T) {
+	d, want := outOfStepAccept(t)
 	live := newSyscallWorld()
-	startClient(live)
+	startClientAfter(live, 200*time.Millisecond)
 	opts := TolerantReplayOptions(d)
 	opts.World = live
-	rt3 := newTestRuntime(t, opts)
-	rep, err := rt3.Run(syscallProgram(rt3))
+	rt := newTestRuntime(t, opts)
+	rep, err := rt.Run(syscallProgram(rt))
 	if err != nil {
-		t.Fatalf("tolerant replay: %v", err)
+		t.Fatalf("tolerant replay with a late client: %v", err)
 	}
 	if rep.Diverged == nil || rep.Diverged.Reason != want {
 		t.Fatalf("tolerant replay diverged %v, want reason %q", rep.Diverged, want)

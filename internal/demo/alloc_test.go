@@ -135,24 +135,67 @@ func allocated(runs int, f func()) (bytes uint64, objects float64) {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs), objects
 }
 
+// windowLimit bounds what recording roundRobinTicks ticks and ending the
+// recording allocate: half of the 2.89 MB a recorder allocated while it
+// kept every tick in a doubling window.
+const (
+	roundRobinTicks = 100_000
+	windowLimit     = 2_893_217 / 2
+)
+
+// roundRobin records roundRobinTicks ticks of three round-robin threads.
+func roundRobin(r *Recorder) {
+	for tick := uint64(1); tick <= roundRobinTicks; tick++ {
+		r.NoteSchedule(int32((tick-1)%3), tick)
+	}
+}
+
 // TestInMemoryRecordingAllocatesWindowNotTicks: recording 100k ticks of
 // three round-robin threads without a file, then Finish, allocates the
-// decoded demo's 800 KB of ticks plus a bounded window and spool. While
-// the recorder kept every tick in a doubling window it allocated 2.89 MB;
-// the bound is half of that.
+// decoded demo's 800 KB of ticks plus a bounded window and spool, within
+// windowLimit.
 func TestInMemoryRecordingAllocatesWindowNotTicks(t *testing.T) {
-	const n = 100_000
+	const n = roundRobinTicks
 	got, _ := allocated(5, func() {
 		r := NewRecorder(StrategyQueue, 1, 2)
-		for tick := uint64(1); tick <= n; tick++ {
-			r.NoteSchedule(int32((tick-1)%3), tick)
-		}
+		roundRobin(r)
 		if d := r.Finish(n); len(d.Queue.Ticks) != n {
 			t.Fatalf("Finish decoded %d ticks, want %d", len(d.Queue.Ticks), n)
 		}
 	})
-	if limit := uint64(2_893_217 / 2); got > limit {
-		t.Fatalf("a %d-tick recording and its Finish allocate %d bytes, want at most %d", n, got, limit)
+	if got > windowLimit {
+		t.Fatalf("a %d-tick recording and its Finish allocate %d bytes, want at most %d", n, got, windowLimit)
+	}
+}
+
+// TestFileRecordingAllocatesWindowNotTicks: a recorder with a file cuts
+// its windows into the spool by the same rule, so the same 100k ticks
+// recorded with no timed flush between them, then Close, stay within
+// windowLimit too; and the sealed file decodes to the in-memory demo.
+func TestFileRecordingAllocatesWindowNotTicks(t *testing.T) {
+	const n = roundRobinTicks
+	path := filepath.Join(t.TempDir(), "window.demo2")
+	got, _ := allocated(5, func() {
+		r, err := NewStreamingRecorder(path, StrategyQueue, 1, 2, StreamOptions{FlushInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundRobin(r)
+		if err := r.Close(n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > windowLimit {
+		t.Fatalf("a %d-tick recording to a file and its Close allocate %d bytes, want at most %d", n, got, windowLimit)
+	}
+	d, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewRecorder(StrategyQueue, 1, 2)
+	roundRobin(mem)
+	if !reflect.DeepEqual(d, mem.Finish(n)) {
+		t.Fatal("the sealed file decodes to another demo than the in-memory recording")
 	}
 }
 

@@ -15,16 +15,15 @@ import (
 // "never scheduled again") so that a thread scheduled many times in
 // succession yields a run of 1s, which the RLE coder collapses.
 //
-// Every Recorder is the v2 stream writer (stream.go). One built with
-// NewStreamingRecorder spools its streams to an append-only file as the
-// run executes, so the in-memory slices hold only the window not yet
-// flushed, arbitrarily long recordings run in bounded memory and the
+// Every Recorder is the v2 stream writer (stream.go). Whenever its QUEUE
+// window reaches memWindow slots it cuts the windows into an in-memory
+// spool of encoded batches, the bytes a flush would write, so it holds a
+// bounded window plus encoded bytes, not 8 bytes a tick. One built with
+// NewStreamingRecorder appends the spool to an append-only file at each
+// flush, so arbitrarily long recordings run in bounded memory and the
 // recording of a crashing run survives the crash. One built with
-// NewRecorder has no file: whenever its QUEUE window reaches memWindow
-// slots it cuts the windows into an in-memory spool of encoded batches,
-// the bytes a flush would write, and Finish or Discard decodes the spool
-// and one final batch. It holds a bounded window plus encoded bytes, not
-// 8 bytes a tick.
+// NewRecorder has no file: Finish or Discard decodes the spool and one
+// final batch.
 type Recorder struct {
 	mu       sync.Mutex // guards the windows, spools, latch and bases
 	strategy Strategy
@@ -40,9 +39,11 @@ type Recorder struct {
 	queueDelta []uint64 // slot - deltaBase -> delta to the thread's next tick
 	lastTick   []uint64 // tid -> most recent tick
 
-	// spool holds the batches a recorder without a file has cut, encoded
-	// as its file would hold them after the header.
+	// spool holds the batches cut from the windows, encoded as the file
+	// holds them after the header, until a flush writes them. pay is the
+	// payload scratch of every cut.
 	spool []byte
+	pay   []byte
 
 	signals  []SignalEvent
 	asyncs   []AsyncEvent
@@ -78,8 +79,7 @@ type Recorder struct {
 
 	// path and opts are set before the Recorder is shared and never
 	// change. Everything after them belongs to whoever holds flushMu: the
-	// timed flush, Flush, Close, Discard or Finish. A recorder without a
-	// file uses pay only under mu as well, where it cuts its spool.
+	// timed flush, Flush, Close, Discard or Finish.
 	path    string // "" for a recorder without a file
 	opts    StreamOptions
 	flushMu sync.Mutex
@@ -94,10 +94,9 @@ type Recorder struct {
 	// ended is set by Close or Discard.
 	ended bool
 
-	// Reused buffers for cutting and encoding a batch.
+	// enc holds the bytes a flush writes or a decode reads; a flush swaps
+	// it with the spool, so neither buffer is reallocated.
 	enc            []byte
-	pay            []byte
-	scratch        batch
 	lastFooterTick uint64
 }
 
@@ -149,22 +148,20 @@ func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	}
 	r.lastTick[tid] = tick
 	r.latchLocked(tick)
-	if r.path == "" && len(r.queueDelta) >= memWindow {
-		r.spoolLocked()
+	if len(r.queueDelta) >= memWindow {
+		r.spoolLocked(r.pending(false, 0), false)
 	}
 }
 
-// memWindow is how many QUEUE slots a recorder without a file holds
-// decoded before it cuts them into its spool: 32 KiB of deltas, and a
-// cut every few thousand ticks costs a queue chunk and a footer of
-// framing.
+// memWindow is how many QUEUE slots a recorder holds decoded before it
+// cuts them into its spool: 32 KiB of deltas, and a cut every few
+// thousand ticks costs a queue chunk and a footer of framing.
 const memWindow = 4096
 
-// spoolLocked cuts the windows at the latch into the spool, as a flush
-// would into the file. Caller holds r.mu; the recorder has no file.
-func (r *Recorder) spoolLocked() {
-	b := r.pending(false, 0)
-	r.spool = r.appendBatch(r.spool, &b, false)
+// spoolLocked encodes b, a batch pending returned, into the spool and
+// shifts it out of the windows. Caller holds r.mu.
+func (r *Recorder) spoolLocked(b batch, final bool) {
+	r.spool = r.appendBatch(r.spool, &b, final)
 	r.shiftLocked(&b)
 }
 

@@ -29,10 +29,12 @@
 // tick T only affects ticks > T, so a flush cut at a latch is an exact
 // consistent prefix of the execution.
 //
-// The hot path (NoteSchedule/Add*) only appends to in-memory windows; a
-// self-re-arming timer cuts the windows into a reused scratch batch and
-// encodes it into chunks every flush interval, so the steady state
-// allocates nothing.
+// The hot path (NoteSchedule/Add*) only appends to in-memory windows,
+// and once they hold memWindow QUEUE slots encodes them into the spool.
+// A self-re-arming timer cuts what they hold into the spool the same way
+// every flush interval, under the same mutex, and writes the spool
+// outside it. The spool and the write buffer swap at each flush, so the
+// steady state allocates nothing.
 //
 // Spilling: the file does not exist until the recording first needs it.
 // The header waits in memory until the first flush — timed, an explicit
@@ -41,10 +43,9 @@
 // appends as usual, so the bytes on disk do not depend on when the spill
 // happened. A run that ends before its first timed flush and is
 // discarded (Discard) never touches the disk at all: its one final batch
-// is decoded from memory. A recorder without a file (NewRecorder) arms no
-// timer and never spills, so Finish and Discard always take that path;
-// it cuts its windows into an in-memory spool instead, whenever the QUEUE
-// window fills (record.go), and decodes the spool with the final batch.
+// is decoded from memory, behind the spool. A recorder without a file
+// (NewRecorder) arms no timer and never spills, so Finish and Discard
+// always take that path.
 // Crash safety is unchanged by the delay, since a header-only file holds
 // no recoverable prefix. Recovery of torn files is in recover.go.
 //
@@ -332,23 +333,27 @@ func (r *Recorder) finishLocked(finalTick uint64, seal bool) error {
 	return err
 }
 
-// flushLocked cuts one batch from the windows and appends it to the file,
-// spilling first if the recording is still in memory. A recorder without
-// a file writes nothing. Once a write, sync or spill fails, it writes
-// nothing more and returns that first error. Caller holds flushMu.
+// flushLocked cuts one batch from the windows into the spool, takes the
+// spool and appends it to the file, spilling first if the recording is
+// still in memory. The cut encodes at most one memWindow of QUEUE slots
+// under r.mu, as NoteSchedule's does. A recorder without a file writes
+// nothing. Once a write, sync or spill fails, it writes nothing more and
+// returns that first error. Caller holds flushMu.
 func (r *Recorder) flushLocked(final bool, finalTick uint64) error {
 	if r.werr != nil || r.path == "" {
 		return r.werr
 	}
 	r.mu.Lock()
-	b := r.cutLocked(final, finalTick)
-	r.mu.Unlock()
-	if !final && b.tick == r.lastFooterTick &&
+	b := r.pending(final, finalTick)
+	if !final && len(r.spool) == 0 && b.tick == r.lastFooterTick &&
 		len(b.deltas)+len(b.firsts)+len(b.patches)+len(b.sigs)+len(b.asyncs)+len(b.sys) == 0 {
+		r.mu.Unlock()
 		return nil // nothing new since the previous footer
 	}
 	r.lastFooterTick = b.tick
-	r.enc = r.appendBatch(r.enc[:0], b, final)
+	r.spoolLocked(b, final)
+	r.enc, r.spool = r.spool, r.enc[:0]
+	r.mu.Unlock()
 	if r.f == nil {
 		r.werr = r.spill()
 	}
@@ -383,22 +388,6 @@ func (r *Recorder) pending(final bool, finalTick uint64) batch {
 	return b
 }
 
-// cutLocked copies the pending batch into the reused scratch batch and
-// shifts it out of the windows, so that encoding can run outside r.mu.
-// Caller holds r.mu and flushMu.
-func (r *Recorder) cutLocked(final bool, finalTick uint64) *batch {
-	b, s := r.pending(final, finalTick), &r.scratch
-	s.qStart, s.tick, s.hash = b.qStart, b.tick, b.hash
-	s.deltas = append(s.deltas[:0], b.deltas...)
-	s.firsts = append(s.firsts[:0], b.firsts...)
-	s.patches = append(s.patches[:0], b.patches...)
-	s.sigs = append(s.sigs[:0], b.sigs...)
-	s.asyncs = append(s.asyncs[:0], b.asyncs...)
-	s.sys = append(s.sys[:0], b.sys...)
-	r.shiftLocked(&b)
-	return s
-}
-
 // shiftLocked drops b, a batch pending returned, from the windows and
 // advances their bases past it. Caller holds r.mu.
 func (r *Recorder) shiftLocked(b *batch) {
@@ -417,7 +406,7 @@ func (r *Recorder) shiftLocked(b *batch) {
 // and appends it to dst. The QUEUE segment goes into chunks of at most
 // rle.DecodeFloor deltas, so every chunk decodes however long one thread
 // runs alone; the first carries the batch's first ticks and patches, and
-// a batch with no QUEUE entries has no queue chunk. Caller holds flushMu.
+// a batch with no QUEUE entries has no queue chunk. Caller holds r.mu.
 func (r *Recorder) appendBatch(dst []byte, b *batch, final bool) []byte {
 	firsts, patches := b.firsts, b.patches
 	for at := 0; at < len(b.deltas) || len(firsts)+len(patches) > 0; {

@@ -475,3 +475,33 @@ func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("a recorded and flushed interval allocates %v times, want 0", n)
 	}
 }
+
+// TestTimedFlushesInterleaveWindowCuts: a timed flush every 20µs takes
+// the spool while NoteSchedule cuts full windows into it, and the sealed
+// file still decodes to the demo the same run gives in memory.
+func TestTimedFlushesInterleaveWindowCuts(t *testing.T) {
+	const n = 3*memWindow + 777
+	mem := NewRecorder(StrategyQueue, 11, 22)
+	cutRun(mem, n, nil)
+	want := mem.Finish(n)
+
+	path := filepath.Join(t.TempDir(), "timed.demo2")
+	r, err := NewStreamingRecorder(path, StrategyQueue, 11, 22, StreamOptions{FlushInterval: 20 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutRun(r, n, nil)
+	if !r.Spilled() {
+		t.Fatal("no timed flush ran during the recording")
+	}
+	if err := r.Close(n); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the timed-flush file decodes to another demo than the in-memory recording")
+	}
+}

@@ -77,9 +77,10 @@ func (h *vtimerHeap) pop() vtimer {
 }
 
 // EnableVirtualTime switches the world's clock to virtual time and starts
-// the background advancer, which jumps the clock once the world has been
-// untouched for checkEvery of wall-clock time (0 = 100µs default) while a
-// timer is pending. With no timer pending the advancer parks until
+// the background advancer, which jumps the clock once checkEvery of
+// wall-clock time (0 = 100µs default) has passed since the world's last
+// change while a timer is pending; pushing the first pending timer counts
+// as a change. With no timer pending the advancer parks until
 // SleepVirtual pushes one, so an idle world costs no wakeups. On Linux the
 // advancer keeps one OS thread to itself while it runs (see
 // advanceVirtual). Idempotent; the advancer exits at Interrupt or
@@ -125,7 +126,9 @@ func (w *World) SleepVirtual(d time.Duration) error {
 		return ErrWorldClosed
 	}
 	if len(w.vtimers) == 0 {
-		// The advancer parks while no timer is pending: wake it.
+		// The advancer parks while no timer is pending: wake it, and
+		// start its quiet interval now.
+		w.actAt = int64(time.Since(w.start))
 		select {
 		case w.vtKick <- struct{}{}:
 		default:
@@ -178,38 +181,30 @@ func (w *World) fireDueLocked(upto int64) {
 	}
 }
 
-// The advancer samples actGen vtPollsPerInterval times per quiet interval
-// while a timer is pending, but never waits longer than vtMaxNap between
-// samples, so it notices Interrupt or Shutdown within a millisecond
-// whatever the interval.
-const (
-	vtPollsPerInterval = 4
-	vtMaxNap           = time.Millisecond
-)
+// vtMaxNap caps each of the advancer's naps, so it notices Interrupt or
+// Shutdown within a millisecond whatever the interval.
+const vtMaxNap = time.Millisecond
 
 // advanceVirtual is the quiescence advancer. While no timer is pending it
 // parks on vtKick, which SleepVirtual signals when it pushes the first
-// one. Otherwise it samples actGen after each short wait (vtNap: nanosleep
-// on Linux, whose netpoller would stretch a runtime timer under 1ms to a
-// whole millisecond) and, once time.Now() shows it unchanged for a whole
-// interval of wall-clock time, jumps the clock to the earliest deadline
-// and fires the batch within vtBatchNanos of it. On Linux it runs pinned
-// to one thread whose timer slack vtPin cuts to 1µs, so a 25µs wait takes
-// ~30µs rather than the ~80µs the default 50µs slack makes of it, and it
-// hands the thread back as it found it when it exits. The quiet interval
-// starts when the advancer first sees the current generation, never
-// earlier, so the world has been untouched for at least one interval at
-// every jump. Program threads running pure compute don't hold the clock
-// back (they don't mutate the world), which is the same arrival-vs-compute
-// nondeterminism a real environment has — and the recording captures
-// whichever interleaving happened.
+// one. Otherwise it naps until one interval after actAt, the world's last
+// change (vtNap: nanosleep on Linux, whose netpoller would stretch a
+// runtime timer under 1ms to a whole millisecond). If the world changed
+// in the meantime it naps again to the new deadline; once the deadline
+// has passed it jumps the clock to the earliest timer and fires the batch
+// within vtBatchNanos of it. The world has therefore been untouched for at
+// least one interval at every jump, and a jump follows the world's last
+// change by the interval plus one nap's overshoot. On Linux it runs
+// pinned to one thread whose timer slack vtPin cuts to 1µs, so a nap
+// overshoots by a few µs rather than the default 50µs slack, and it hands
+// the thread back as it found it when it exits. Program threads running
+// pure compute don't hold the clock back (they don't mutate the world),
+// which is the same arrival-vs-compute nondeterminism a real environment
+// has — and the recording captures whichever interleaving happened.
 func (w *World) advanceVirtual(every time.Duration) {
 	if vtPin() {
 		defer vtUnpin()
 	}
-	nap := min(every/vtPollsPerInterval, vtMaxNap)
-	var lastGen uint64
-	var quietSince time.Time // zero: the quiet interval starts at the next sample
 	for {
 		w.mu.Lock()
 		if w.closed || w.interrupted {
@@ -223,20 +218,17 @@ func (w *World) advanceVirtual(every time.Duration) {
 				return
 			case <-w.vtKick:
 			}
-			quietSince = time.Time{}
 			continue
 		}
-		now := time.Now()
-		switch {
-		case quietSince.IsZero() || w.actGen != lastGen:
-			lastGen, quietSince = w.actGen, now
-		case now.Sub(quietSince) >= every:
+		wait := time.Duration(w.actAt-int64(time.Since(w.start))) + every
+		if wait <= 0 {
 			base := max(w.vtimers[0].at, w.vnow)
 			w.vnow = base
 			w.fireDueLocked(base + vtBatchNanos)
-			lastGen, quietSince = w.actGen, now
 		}
 		w.mu.Unlock()
-		vtNap(nap)
+		if wait > 0 {
+			vtNap(min(wait, vtMaxNap))
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // vtSlackNanos is the timer slack of the advancer's thread. Linux
 // stretches every sleep of a normal thread by the thread's timer slack,
-// 50µs by default, so a 25µs nap would take ~80µs and the advancer would
-// measure its own oversleep instead of the quiet interval.
+// 50µs by default, so every nap to a deadline would overshoot it by about
+// that much and each wake would pay it.
 const vtSlackNanos = 1000
 
 const prSetTimerSlack = 29 // PR_SET_TIMERSLACK from <linux/prctl.h>
@@ -43,13 +43,13 @@ func vtUnpin() {
 	runtime.UnlockOSThread()
 }
 
-// vtNap waits d of wall-clock time between the advancer's samples. It
-// calls nanosleep directly: Go's epoll netpoller rounds every runtime timer
-// under a millisecond up to a whole millisecond when the process is idle,
-// so time.Sleep(25µs) there takes ~1ms and the advancer would measure the
-// timer instead of the quiet interval. The kernel still adds the thread's
-// timer slack to each sleep, which is why the advancer naps on a thread
-// vtPin has set up.
+// vtNap waits d of wall-clock time, one of the advancer's naps toward its
+// deadline. It calls nanosleep directly: Go's epoll netpoller rounds every
+// runtime timer under a millisecond up to a whole millisecond when the
+// process is idle, so time.Sleep(100µs) there takes ~1ms and every wake
+// would wait out the timer instead of the quiet interval. The kernel
+// still adds the thread's timer slack to each sleep, which is why the
+// advancer naps on a thread vtPin has set up.
 func vtNap(d time.Duration) {
 	ts := syscall.NsecToTimespec(int64(d))
 	for syscall.Nanosleep(&ts, &ts) == syscall.EINTR {

@@ -9,6 +9,6 @@ import "time"
 func vtPin() bool { return false }
 func vtUnpin()    {}
 
-// vtNap waits d of wall-clock time between the advancer's samples (see
-// vtime_linux.go for why Linux does not use time.Sleep).
+// vtNap waits d of wall-clock time, one of the advancer's naps toward its
+// deadline (see vtime_linux.go for why Linux does not use time.Sleep).
 func vtNap(d time.Duration) { time.Sleep(d) }

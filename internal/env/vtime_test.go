@@ -277,3 +277,86 @@ func TestAdvancerExitsAtStop(t *testing.T) {
 		}
 	}
 }
+
+// A jump follows the world's last change by one interval plus a nap's
+// overshoot: the advancer naps to that deadline. A sleeper on a quiet
+// world waits out the whole interval, which its timer starts. With a
+// sleeper pending, the world is changed three times; the sleeper wakes
+// at least one interval after the last change and, in the median, well
+// under a millisecond later. An advancer that sampled the world every
+// quarter interval (capped at 1ms) started the interval at the first
+// sample to see the change, 0–1ms after it. The changes start at an
+// offset that sweeps one millisecond over the rounds, so such sampling
+// overshoots by ~500µs in the median whatever its phase. The interval is
+// wide so a loaded host cannot fake a quiet period.
+func TestWakeFollowsLastChangeByInterval(t *testing.T) {
+	const (
+		every  = 4 * time.Millisecond
+		gap    = every / 16 // between the changes
+		rounds = 31
+		limit  = every / 16 // median overshoot past the interval
+	)
+	w := NewWorld(1)
+	defer w.Shutdown()
+	w.EnableVirtualTime(every)
+
+	time.Sleep(2 * every)
+	t0 := time.Now()
+	if err := w.SleepVirtual(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d < every {
+		t.Fatalf("a quiet world woke its sleeper after %v, want at least the %v interval", d, every)
+	}
+
+	// change mutates the world, and reports when and whether a timer was
+	// pending then.
+	change := func() (time.Time, bool) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		at := time.Now()
+		w.bumpLocked()
+		return at, len(w.vtimers) > 0
+	}
+	ready := make(chan struct{})
+	woke := make(chan time.Time)
+	var overshoots []time.Duration
+	for i := 0; i < rounds; i++ {
+		go func() {
+			ready <- struct{}{}
+			if err := w.SleepVirtual(time.Second); err != nil {
+				t.Error(err)
+			}
+			woke <- time.Now()
+		}()
+		<-ready
+		var last time.Time
+		var pending bool
+		wait := time.Duration(i) * time.Millisecond / rounds
+		for j := 0; j < 3; j++ {
+			for t0 := time.Now(); time.Since(t0) < wait; {
+			}
+			last, pending = change()
+			wait = gap
+		}
+		at := <-woke
+		if !pending {
+			// The sleeper pushed its timer after the last change, or
+			// the timer fired before it: this round measures nothing.
+			continue
+		}
+		quiet := at.Sub(last)
+		if quiet < every {
+			t.Fatalf("woke %v after the world's last change, want at least the %v interval", quiet, every)
+		}
+		overshoots = append(overshoots, quiet-every)
+	}
+	if len(overshoots) <= rounds/2 {
+		t.Fatalf("only %d of %d rounds changed the world while the timer was pending", len(overshoots), rounds)
+	}
+	sort.Slice(overshoots, func(i, j int) bool { return overshoots[i] < overshoots[j] })
+	if med := overshoots[len(overshoots)/2]; med >= limit {
+		t.Fatalf("median wake %v past the %v interval after the world's last change, want under %v",
+			med, every, limit)
+	}
+}

@@ -40,10 +40,10 @@ type World struct {
 	// traffic.
 	waiterConds []*sync.Cond
 
-	// actGen counts world-state mutations. The virtual-time advancer
-	// (vtime.go) reads it to detect quiescence: when no mutation happens
-	// across a check interval and timers are pending, virtual time jumps.
-	actGen uint64
+	// actAt is the wall time of the world's last change, in nanoseconds
+	// since start, stamped only while virtual time is on. The advancer
+	// (vtime.go) jumps the clock once it lies a check interval behind.
+	actAt int64
 
 	// Virtual time (vtime.go). When vtOn, ClockNanos returns vnow — virtual
 	// nanoseconds since World creation — which advances only when timers
@@ -168,10 +168,16 @@ func (w *World) nextRandLocked() uint64 {
 	return bits.RotateLeft64(z^(z>>31), 17)
 }
 
-// bumpLocked records a world-state mutation for the virtual-time
-// quiescence detector. Pure reads and would-block checks do not bump, so a
-// polling thread spinning on EAGAIN never holds virtual time back.
-func (w *World) bumpLocked() { w.actGen++ }
+// bumpLocked stamps a world-state mutation for the virtual-time
+// advancer, which fires a pending timer only once a whole check interval
+// has passed since the last stamp. Pure reads and would-block checks do
+// not bump, so a polling thread spinning on EAGAIN never holds virtual
+// time back. With virtual time off there is nothing to stamp.
+func (w *World) bumpLocked() {
+	if w.vtOn {
+		w.actAt = int64(time.Since(w.start))
+	}
+}
 
 // newWaiterCondLocked allocates a directed wait gate tied to w.mu and
 // registers it so Interrupt/Shutdown can reach it.
