@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/demo"
 	"repro/internal/env"
+	"repro/internal/explore"
 	"repro/internal/obs"
 )
 
@@ -287,6 +288,31 @@ func BenchmarkNeedleRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSweep measures explore's throughput: one 200-trial needle
+// sweep in memory per op, seed rotation and a mutation queue weighted 1:1
+// on two workers with the reschedule watchdog off, the hunt workload's
+// sweep without its record directory or minimisation. The seeds are
+// pinned, so every op runs the same trials. It reports trials/s.
+func BenchmarkSweep(b *testing.B) {
+	p, _ := litmus.ByName("needle")
+	trials := 0
+	for i := 0; i < b.N; i++ {
+		src, err := explore.NewWeightedSource([]explore.TrialSource{
+			&explore.SeedRotation{MasterSeed: 4}, &explore.MutationQueue{Seed: 7},
+		}, []int{1, 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := explore.Run(explore.Config{Program: p, Source: src, Trials: 200, Workers: 2,
+			RescheduleQuantum: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trials += res.Trials
+	}
+	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // BenchmarkRecordStreaming measures what the crash-safe streaming writer

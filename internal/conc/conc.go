@@ -66,9 +66,39 @@ type Queue[V any] struct {
 	mu       *core.Mutex
 	notEmpty *core.Cond
 	notFull  *core.Cond
-	items    *core.Var[[]V]
+	items    *core.Var[ring[V]]
 	closed   *core.Var[bool]
 	capacity int
+}
+
+// ring is a queue's items: n of them, in order from buf[head], wrapping.
+// It grows by doubling when full, so a long-lived queue reuses one buffer
+// instead of reallocating as its front is popped and its back pushed.
+type ring[V any] struct {
+	buf     []V
+	head, n int
+}
+
+func (r ring[V]) push(v V) ring[V] {
+	if r.n == len(r.buf) {
+		grown := make([]V, max(8, 2*len(r.buf)))
+		copy(grown, r.buf[r.head:])
+		copy(grown[len(r.buf)-r.head:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+	return r
+}
+
+// pop removes the head; the ring must not be empty.
+func (r ring[V]) pop() (V, ring[V]) {
+	v := r.buf[r.head]
+	var zero V
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v, r
 }
 
 // NewQueue creates a bounded queue (capacity <= 0 means unbounded).
@@ -78,7 +108,7 @@ func NewQueue[V any](rt *core.Runtime, name string, capacity int) *Queue[V] {
 		mu:       mu,
 		notEmpty: rt.NewCond(name+".ne", mu),
 		notFull:  rt.NewCond(name+".nf", mu),
-		items:    core.NewVar(rt, name+".items", []V(nil)),
+		items:    core.NewVar(rt, name+".items", ring[V]{}),
 		closed:   core.NewVar(rt, name+".closed", false),
 		capacity: capacity,
 	}
@@ -93,12 +123,12 @@ func (q *Queue[V]) Push(t *core.Thread, v V) bool {
 		if q.closed.Read(t) {
 			return false
 		}
-		if q.capacity <= 0 || len(q.items.Read(t)) < q.capacity {
+		if q.capacity <= 0 || q.items.Read(t).n < q.capacity {
 			break
 		}
 		q.notFull.Wait(t)
 	}
-	q.items.Update(t, func(it []V) []V { return append(it, v) })
+	q.items.Update(t, func(r ring[V]) ring[V] { return r.push(v) })
 	q.notEmpty.Signal(t)
 	return true
 }
@@ -109,10 +139,9 @@ func (q *Queue[V]) Pop(t *core.Thread) (V, bool) {
 	q.mu.Lock(t)
 	defer q.mu.Unlock(t)
 	for {
-		it := q.items.Read(t)
-		if len(it) > 0 {
-			v := it[0]
-			q.items.Write(t, it[1:])
+		if r := q.items.Read(t); r.n > 0 {
+			v, rest := r.pop()
+			q.items.Write(t, rest)
 			if q.capacity > 0 {
 				q.notFull.Signal(t)
 			}

@@ -139,6 +139,55 @@ func TestQueueSingleElementOrder(t *testing.T) {
 	})
 }
 
+// TestQueueRingOrderAndReuse drives a queue's ring against a slice: items
+// come out in push order across wraps and across growth while wrapped, and
+// a queue whose length stays bounded keeps one buffer however many items
+// pass through it.
+func TestQueueRingOrderAndReuse(t *testing.T) {
+	var r ring[int]
+	var model []int
+	next := 0
+	for step := 0; step < 2000; step++ {
+		// Push 0–4 and pop 0–3 per step, so the length drifts up and down
+		// and the head wraps at every buffer size.
+		for i := 0; i < step%5; i++ {
+			r = r.push(next)
+			model = append(model, next)
+			next++
+		}
+		for i := 0; i < step%4 && r.n > 0; i++ {
+			var v int
+			v, r = r.pop()
+			if v != model[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, v, model[0])
+			}
+			model = model[1:]
+		}
+		if r.n != len(model) {
+			t.Fatalf("step %d: ring holds %d, want %d", step, r.n, len(model))
+		}
+	}
+	for r.n > 0 {
+		var v int
+		v, r = r.pop()
+		if v != model[0] {
+			t.Fatalf("drain: popped %d, want %d", v, model[0])
+		}
+		model = model[1:]
+	}
+
+	buf := r.buf
+	for i := 0; i < 10_000; i++ {
+		r = r.push(i)
+		r = r.push(i)
+		_, r = r.pop()
+		_, r = r.pop()
+	}
+	if &r.buf[0] != &buf[0] {
+		t.Errorf("a queue holding at most 2 items reallocated its %d-slot buffer", len(buf))
+	}
+}
+
 // TestQueueVisibleOperationCost pins what one Push, Pop and Close cost in
 // scheduling points. An unbounded queue must cost exactly what the
 // hand-written one-condvar queue costs (Lock/Signal/Unlock, Lock/Unlock,

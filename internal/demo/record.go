@@ -168,8 +168,13 @@ func (r *Recorder) spoolLocked(b batch, final bool) {
 // NoteTick latches tick as the latest completed critical section for the
 // writer's footer candidates. Strategies whose schedule is implied by the
 // seeds (everything except queue, whose NoteSchedule already latches)
-// call this once per tick.
+// call this once per tick. Only a flush reads the latch, so on a recorder
+// without a file, which never flushes, NoteTick returns at once: its
+// final cut takes the whole windows and the caller's final tick.
 func (r *Recorder) NoteTick(tick uint64) {
+	if r.path == "" {
+		return
+	}
 	r.mu.Lock()
 	r.latchLocked(tick)
 	r.mu.Unlock()

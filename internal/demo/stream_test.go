@@ -441,6 +441,60 @@ func TestFinishIsRepeatable(t *testing.T) {
 	}
 }
 
+// TestNoteTickWithoutFileChangesNothing: only a flush reads the latch
+// NoteTick sets, so on a recorder without a file NoteTick returns at once.
+// A random-strategy run with signals, asyncs, syscalls and output
+// interleaved records the same demo, after Finish and after Discard,
+// whether or not it calls NoteTick after every tick's events.
+func TestNoteTickWithoutFileChangesNothing(t *testing.T) {
+	const final = 10_000
+	record := func(noteTicks bool) (finished, discarded *Demo) {
+		r := NewRecorder(StrategyRandom, 11, 22)
+		for tick := uint64(1); tick <= final; tick++ {
+			tid := int32(tick % 3)
+			switch tick % 7 {
+			case 2:
+				r.AddSignal(SignalEvent{TID: tid, Tick: tick, Sig: 15})
+			case 3:
+				r.AddAsync(AsyncEvent{Kind: AsyncReschedule, Tick: tick, TID: tid})
+			case 4:
+				r.AddSignal(SignalEvent{TID: tid, Tick: tick, Sig: 10})
+				r.AddAsync(AsyncEvent{Kind: AsyncTimerWakeup, Tick: tick, TID: tid})
+			case 5:
+				r.AddSyscall(SyscallRecord{TID: tid, Kind: 3, Ret: int64(tick), Bufs: [][]byte{{byte(tick)}}})
+			}
+			if tick%4 == 0 {
+				r.MixOutput([]byte{byte(tick)})
+			}
+			if noteTicks {
+				r.NoteTick(tick)
+			}
+		}
+		finished = r.Finish(final)
+		discarded, err := r.Discard(final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finished, discarded
+	}
+	noted, notedDiscard := record(true)
+	bare, bareDiscard := record(false)
+	if !reflect.DeepEqual(bare, noted) {
+		t.Errorf("Finish without NoteTick differs:\n got %+v\nwant %+v", bare, noted)
+	}
+	if !reflect.DeepEqual(bareDiscard, notedDiscard) {
+		t.Errorf("Discard without NoteTick differs:\n got %+v\nwant %+v", bareDiscard, notedDiscard)
+	}
+	if !reflect.DeepEqual(notedDiscard, noted) {
+		t.Error("Discard's demo differs from Finish's")
+	}
+	if noted.FinalTick != final || len(noted.Signals) == 0 || len(noted.Asyncs) == 0 ||
+		len(noted.Syscalls) == 0 || noted.OutputHash == 0 {
+		t.Fatalf("the recording lost part of the run: final tick %d, %d signals, %d asyncs, %d syscalls, output hash %#x",
+			noted.FinalTick, len(noted.Signals), len(noted.Asyncs), len(noted.Syscalls), noted.OutputHash)
+	}
+}
+
 // TestStreamingSteadyStateAllocatesNothing: once its windows and buffers
 // have grown, a streaming recorder records a flush interval's worth of
 // ticks and events and flushes them without allocating, since every

@@ -35,6 +35,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/tsan"
 )
 
 // Program is the unit under exploration. Body is called once per trial
@@ -49,7 +50,9 @@ type Config struct {
 	Program Program
 	// Source supplies the trials. Required; most sweeps use a
 	// *SeedRotation, optionally composed with a *MutationQueue via
-	// NewWeightedSource.
+	// NewWeightedSource. The workers call it themselves, under the
+	// engine's lock: the one that delivers a trial's feedback also
+	// refills the lag window, so calls never overlap.
 	Source TrialSource
 	// Trials is the trial budget (default 128). The sweep also ends early
 	// if the source declines with no trials in flight.
@@ -58,10 +61,12 @@ type Config struct {
 	Workers int
 	// FeedbackLag bounds how far spec generation runs ahead of in-order
 	// feedback delivery (default 8) — it is therefore also the in-flight
-	// trial cap, so more than FeedbackLag workers sit idle. It is part of
-	// the sweep's deterministic identity: a different lag gives the source
-	// a different Next/Feedback interleaving, but for a fixed lag the
-	// interleaving never depends on worker count or completion order.
+	// trial cap, so more than FeedbackLag workers sit idle, and the size of
+	// the ring that parks out-of-order completions. It is part of the
+	// sweep's deterministic identity: a different lag gives the source a
+	// different Next/Feedback interleaving, but for a fixed lag the
+	// interleaving never depends on worker count, completion order or
+	// which worker happens to make the call.
 	FeedbackLag int
 	// MaxTicks and RescheduleQuantum are forwarded to every trial's
 	// core.Options (zero keeps the core defaults; negative
@@ -203,9 +208,11 @@ func (r *Result) TrialsPerSec() float64 {
 	return float64(r.Trials) / r.Elapsed.Seconds()
 }
 
-// trialDone is one worker's completion report, buffered by the engine
+// trialDone is one worker's completion report, held in the engine's ring
 // until its turn in the in-order feedback stream.
 type trialDone struct {
+	// ready marks a filled ring slot.
+	ready   bool
 	spec    TrialSpec
 	outcome Outcome
 	payload *trialFailure
@@ -214,8 +221,8 @@ type trialDone struct {
 	fbDemo *demo.Demo
 }
 
-// Run executes the sweep: pull specs from the source, dispatch them to
-// the pool, feed outcomes back in trial-index order, then dedupe and
+// Run executes the sweep: pull specs from the source, run them on the
+// pool, feed outcomes back in trial-index order, then dedupe and
 // (optionally) minimize. Result is deterministic for a fixed config
 // (minus Duration/Elapsed), regardless of worker count.
 func Run(cfg Config) (*Result, error) {
@@ -241,122 +248,35 @@ func Run(cfg Config) (*Result, error) {
 		cfg.MinimizeBudget = 48
 	}
 
-	start := time.Now()
-	trialsCtr := cfg.Metrics.Counter("explore.trials")
-	mutantsCtr := cfg.Metrics.Counter("explore.mutants")
-	divergedCtr := cfg.Metrics.Counter("explore.diverged")
-	tickHist := cfg.Metrics.Histogram("explore.trial.ticks")
-
-	specC := make(chan TrialSpec)
-	doneC := make(chan trialDone)
+	e := &engine{
+		cfg:      &cfg,
+		start:    time.Now(),
+		ring:     make([]trialDone, cfg.FeedbackLag),
+		trials:   cfg.Metrics.Counter("explore.trials"),
+		mutants:  cfg.Metrics.Counter("explore.mutants"),
+		diverged: cfg.Metrics.Counter("explore.diverged"),
+		ticks:    cfg.Metrics.Histogram("explore.trial.ticks"),
+	}
+	e.idle.L = &e.mu
+	e.mu.Lock()
+	e.fillLocked()
+	e.deliverLocked()
+	e.mu.Unlock()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for spec := range specC {
-				out, tf, fbDemo := runTrial(&cfg, spec)
-				trialsCtr.Add(1)
-				tickHist.Observe(float64(out.Ticks))
-				if spec.Mutant != nil {
-					mutantsCtr.Add(1)
-				}
-				if out.Diverged {
-					divergedCtr.Add(1)
-				}
-				doneC <- trialDone{spec: spec, outcome: out, payload: tf, fbDemo: fbDemo}
-			}
+			e.work()
 		}()
 	}
-
-	// The engine invariants that make the sweep deterministic:
-	//   - specs are generated (Source.Next) only while
-	//     generated-delivered < FeedbackLag, so generation never outruns
-	//     feedback by more than the lag;
-	//   - feedback (Source.Feedback) is delivered strictly in trial-index
-	//     order, out-of-order completions parking in buf;
-	//   - after every single feedback delivery, generation refills the lag
-	//     window before the next delivery.
-	// Together these pin the exact Next/Feedback interleaving the source
-	// observes, whatever the workers do.
-	var (
-		outcomes  []Outcome
-		payloads  []*trialFailure
-		queue     []TrialSpec // generated, not yet dispatched
-		generated int
-		delivered int
-		expired   bool
-	)
-	fill := func() {
-		for !expired && generated < cfg.Trials && generated-delivered < cfg.FeedbackLag {
-			spec, ok := cfg.Source.Next()
-			if !ok {
-				// The source declined; it may recover after more feedback,
-				// so this is only terminal once nothing is in flight.
-				return
-			}
-			spec.Index = generated
-			queue = append(queue, spec)
-			outcomes = append(outcomes, Outcome{Spec: spec})
-			payloads = append(payloads, nil)
-			generated++
-		}
-	}
-	buf := make(map[int]trialDone)
-	for {
-		if cfg.WallBudget > 0 && !expired && time.Since(start) > cfg.WallBudget {
-			expired = true
-			// Undispatched specs never run: their slots keep Ran == false
-			// and their feedback is an empty could-not-run report.
-			for _, sp := range queue {
-				buf[sp.Index] = trialDone{spec: sp, outcome: Outcome{Spec: sp}}
-			}
-			queue = nil
-		}
-		fill()
-		if delivered == generated {
-			break
-		}
-		if len(queue) > 0 {
-			select {
-			case specC <- queue[0]:
-				queue = queue[1:]
-			case d := <-doneC:
-				buf[d.spec.Index] = d
-			}
-		} else if _, ok := buf[delivered]; !ok {
-			// Slot delivered is neither queued nor buffered, so its trial
-			// is in flight. A buffered slot (an unrun one after the wall
-			// budget expired) is delivered below without waiting.
-			d := <-doneC
-			buf[d.spec.Index] = d
-		}
-		for {
-			d, ok := buf[delivered]
-			if !ok {
-				break
-			}
-			delete(buf, delivered)
-			outcomes[delivered] = d.outcome
-			payloads[delivered] = d.payload
-			cfg.Source.Feedback(Feedback{
-				Spec:      d.spec,
-				Failed:    d.outcome.Failed,
-				Signature: d.outcome.Signature,
-				Demo:      d.fbDemo,
-				Diverged:  d.outcome.Diverged,
-			})
-			delivered++
-			fill()
-		}
-	}
-	close(specC)
 	wg.Wait()
+	outcomes, payloads := e.outcomes, e.payloads
 
 	res := &Result{
 		Program:     cfg.Program.Name,
 		Outcomes:    outcomes,
-		WallExpired: expired,
+		WallExpired: e.expired,
 	}
 	bySig := make(map[string]*Failure)
 	for i := range outcomes {
@@ -386,7 +306,7 @@ func Run(cfg Config) (*Result, error) {
 		f := &Failure{
 			Spec:      outcomes[i].Spec,
 			Signature: p.signature,
-			Races:     p.races,
+			Races:     raceStrings(p.races),
 			Err:       p.errText,
 			Demo:      p.demo,
 			DemoPath:  p.demoPath,
@@ -419,15 +339,177 @@ func Run(cfg Config) (*Result, error) {
 		mwg.Wait()
 	}
 
-	res.Elapsed = time.Since(start)
+	res.Elapsed = time.Since(e.start)
 	cfg.Metrics.Observe("explore.trials_per_sec", res.TrialsPerSec())
 	return res, nil
+}
+
+// engine is one sweep's dispatch state. The workers run the sweep: each,
+// holding mu, stores its trial's completion, delivers every completion
+// now in index order and takes its next spec, so Source.Next and
+// Source.Feedback are called by whichever worker holds mu, one call at a
+// time.
+//
+// The engine invariants that make the sweep deterministic:
+//   - specs are generated (Source.Next) only while
+//     generated-delivered < FeedbackLag, so generation never outruns
+//     feedback by more than the lag;
+//   - feedback (Source.Feedback) is delivered strictly in trial-index
+//     order, out-of-order completions parking in ring;
+//   - after every single feedback delivery, generation refills the lag
+//     window before the next delivery.
+//
+// Together these pin the exact Next/Feedback interleaving the source
+// observes, whatever the workers do. Generation happens only at the start
+// and after a delivery, so a source that declined is asked again only
+// once it has more feedback, never because a worker happened to pass by.
+type engine struct {
+	cfg   *Config
+	start time.Time
+
+	trials, mutants, diverged *obs.Counter
+	ticks                     *obs.Histogram
+
+	mu sync.Mutex
+	// idle is where workers wait while no spec is queued; its L is &mu.
+	idle sync.Cond
+	// outcomes and payloads hold one slot per generated trial. The queue is
+	// slots [dispatched, generated): generated, their Spec set, not yet
+	// taken by a worker.
+	outcomes []Outcome
+	payloads []*trialFailure
+	// ring holds trial i's completion in slot i % FeedbackLag until it is
+	// delivered. The undelivered trials [delivered, generated) never
+	// number more than FeedbackLag, so no two share a slot.
+	ring                             []trialDone
+	generated, dispatched, delivered int
+	// expired is set once the wall budget ran out; over once every
+	// generated trial is delivered and no more will be generated.
+	expired, over bool
+}
+
+// work is one worker: take a spec, run it outside the lock, hand its
+// completion back, until the sweep is over.
+func (e *engine) work() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for {
+		spec, ok := e.takeLocked()
+		if !ok {
+			return
+		}
+		e.mu.Unlock()
+		d := e.run(spec)
+		e.mu.Lock()
+		e.ring[spec.Index%len(e.ring)] = d
+		e.deliverLocked()
+	}
+}
+
+// takeLocked returns the next queued spec, waiting while none is queued,
+// or false once the sweep is over. The wall budget is checked before every
+// take, so a spec still queued when it expires never runs.
+func (e *engine) takeLocked() (TrialSpec, bool) {
+	for {
+		if e.cfg.WallBudget > 0 && !e.expired && time.Since(e.start) > e.cfg.WallBudget {
+			e.expireLocked()
+		}
+		if e.over {
+			return TrialSpec{}, false
+		}
+		if e.dispatched < e.generated {
+			break
+		}
+		e.idle.Wait()
+	}
+	spec := e.outcomes[e.dispatched].Spec
+	e.dispatched++
+	if e.dispatched < e.generated {
+		// More is queued: wake one waiting worker, which passes the wake
+		// on in turn.
+		e.idle.Signal()
+	}
+	return spec, true
+}
+
+// run runs one trial and counts it in the sweep's metrics.
+func (e *engine) run(spec TrialSpec) trialDone {
+	out, tf, fbDemo := runTrial(e.cfg, spec)
+	e.trials.Add(1)
+	e.ticks.Observe(float64(out.Ticks))
+	if spec.Mutant != nil {
+		e.mutants.Add(1)
+	}
+	if out.Diverged {
+		e.diverged.Add(1)
+	}
+	return trialDone{ready: true, spec: spec, outcome: out, payload: tf, fbDemo: fbDemo}
+}
+
+// expireLocked stops dispatch for good. The queued specs never run: their
+// slots keep Ran == false and their feedback is an empty could-not-run
+// report, delivered in turn.
+func (e *engine) expireLocked() {
+	e.expired = true
+	for ; e.dispatched < e.generated; e.dispatched++ {
+		sp := e.outcomes[e.dispatched].Spec
+		e.ring[sp.Index%len(e.ring)] = trialDone{ready: true, spec: sp, outcome: Outcome{Spec: sp}}
+	}
+	e.deliverLocked()
+}
+
+// deliverLocked feeds back every completion now in index order, refilling
+// the lag window after each one, and ends the sweep once every generated
+// trial is delivered: nothing is then queued, running or buffered, and
+// the refill generated nothing more.
+func (e *engine) deliverLocked() {
+	for {
+		slot := &e.ring[e.delivered%len(e.ring)]
+		if !slot.ready {
+			break
+		}
+		d := *slot
+		*slot = trialDone{}
+		e.outcomes[e.delivered] = d.outcome
+		e.payloads[e.delivered] = d.payload
+		e.cfg.Source.Feedback(Feedback{
+			Spec:      d.spec,
+			Failed:    d.outcome.Failed,
+			Signature: d.outcome.Signature,
+			Demo:      d.fbDemo,
+			Diverged:  d.outcome.Diverged,
+		})
+		e.delivered++
+		e.fillLocked()
+	}
+	if e.delivered == e.generated {
+		e.over = true
+		e.idle.Broadcast()
+	}
+}
+
+// fillLocked generates specs until the lag window is full, the trial
+// budget is spent, the wall budget has expired or the source declines.
+func (e *engine) fillLocked() {
+	cfg := e.cfg
+	for !e.expired && e.generated < cfg.Trials && e.generated-e.delivered < cfg.FeedbackLag {
+		spec, ok := cfg.Source.Next()
+		if !ok {
+			// The source declined; it may recover after more feedback,
+			// so this is only terminal once nothing is in flight.
+			return
+		}
+		spec.Index = e.generated
+		e.outcomes = append(e.outcomes, Outcome{Spec: spec})
+		e.payloads = append(e.payloads, nil)
+		e.generated++
+	}
 }
 
 // trialFailure is the failure payload a worker hands the dedupe pass.
 type trialFailure struct {
 	signature string
-	races     []string
+	races     []tsan.Report
 	errText   string
 	demo      *demo.Demo
 	demoPath  string
@@ -495,14 +577,22 @@ func runTrial(cfg *Config, spec TrialSpec) (Outcome, *trialFailure, *demo.Demo) 
 		tf.ancestor = m.Ancestor
 		tf.opChain = m.Ops
 	}
-	for _, r := range rep.Races {
-		tf.races = append(tf.races, r.String())
-	}
-	sort.Strings(tf.races)
+	tf.races = rep.Races
 	if rep.Err != nil {
 		tf.errText = rep.Err.Error()
 	}
 	return out, tf, rep.Demo
+}
+
+// raceStrings formats a failure's race reports, sorted. The dedupe pass
+// calls it once per distinct signature, not once per failing trial.
+func raceStrings(races []tsan.Report) []string {
+	var out []string
+	for _, r := range races {
+		out = append(out, r.String())
+	}
+	sort.Strings(out)
+	return out
 }
 
 // signatureOf canonicalises a report into a dedupe key. Race keys drop

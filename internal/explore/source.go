@@ -46,9 +46,10 @@ type Feedback struct {
 }
 
 // TrialSource supplies trial specs and receives per-trial feedback. The
-// engine serialises all calls and fixes their interleaving (see
-// Config.FeedbackLag), so implementations need no locking and determinism
-// follows from deterministic Next/Feedback logic.
+// sweep's workers make the calls, one at a time under the engine's lock,
+// in an interleaving fixed by Config.FeedbackLag, so implementations need
+// no locking and determinism follows from deterministic Next/Feedback
+// logic.
 type TrialSource interface {
 	// Next returns the next trial spec, or ok=false when the source has
 	// nothing to offer right now (it may recover after more Feedback).
