@@ -179,3 +179,28 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// TestUncontrolledRunsLeaveNoTimers checks that an uncontrolled run stops
+// the timers it waits on. Under go 1.22 timer semantics an armed timer
+// stays live, with its channel, until it fires, so runs that left their
+// WallTimeout timer armed would hold a whole timeout's worth of them for
+// every garbage collection to mark: about three live objects per run.
+func TestUncontrolledRunsLeaveNoTimers(t *testing.T) {
+	const runs = 500
+	opts := core.UncontrolledOptions(true)
+	opts.WallTimeout = time.Hour
+	var ms runtime.MemStats
+	objects := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	runNeedle(t, opts)
+	before := objects()
+	for range runs {
+		runNeedle(t, opts)
+	}
+	if grown := int64(objects()) - int64(before); grown > runs/4 {
+		t.Errorf("%d uncontrolled runs left %d more live heap objects; want at most %d", runs, grown, runs/4)
+	}
+}

@@ -26,6 +26,24 @@ func (u *uncontrolledState) init() {
 	u.nextTID = 1
 }
 
+// receiveWithin receives from ch, giving up after d, and reports whether it
+// received. It stops its timer on return. Under go 1.22 timer semantics,
+// which this module's go line selects for its binaries, an unstopped
+// time.After timer stays in the runtime's timer heap, holding its channel,
+// until d has passed, so a process of many short uncontrolled runs under a
+// WallTimeout of seconds would keep every run's timer alive that long and
+// pay for them in each garbage collection.
+func receiveWithin[T any](ch <-chan T, d time.Duration) bool {
+	tm := time.NewTimer(d)
+	defer tm.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-tm.C:
+		return false
+	}
+}
+
 // native reports whether the runtime is the fully uninstrumented baseline.
 func (rt *Runtime) native() bool {
 	return rt.opts.Uncontrolled && rt.opts.DisableRaces
@@ -59,9 +77,7 @@ func (rt *Runtime) runUncontrolled(fn func(t *Thread)) (*Report, error) {
 	waited := make(chan struct{})
 	go func() { rt.wg.Wait(); close(waited) }()
 	var err error
-	select {
-	case <-waited:
-	case <-time.After(rt.opts.WallTimeout):
+	if !receiveWithin(waited, rt.opts.WallTimeout) {
 		err = fmt.Errorf("core: uncontrolled run leaked threads past %v", rt.opts.WallTimeout)
 	}
 	rt.world.Shutdown()
@@ -139,10 +155,7 @@ func (t *Thread) uncontrolledSpawn(name string, fn func(*Thread)) *Handle {
 		// by the delay, before the parent proceeds (it usually finishes
 		// or blocks well before the bound in the small programs where
 		// this matters).
-		select {
-		case <-child.udone:
-		case <-time.After(rt.opts.SpawnDelay):
-		}
+		receiveWithin(child.udone, rt.opts.SpawnDelay)
 	}
 	return &Handle{t: child}
 }
@@ -210,16 +223,11 @@ func (c *Cond) uncontrolledWait(t *Thread, timed bool) WaitResult {
 	c.chmu.Unlock()
 	c.m.nmu.Unlock()
 
-	took := false
+	took := true
 	if timed {
-		select {
-		case <-ch:
-			took = true
-		case <-time.After(500 * time.Microsecond):
-		}
+		took = receiveWithin(ch, 500*time.Microsecond)
 	} else {
 		<-ch
-		took = true
 	}
 
 	c.m.nmu.Lock()
